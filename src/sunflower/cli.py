@@ -232,6 +232,17 @@ def _search_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=None)
 
 
+def _cnf_parser(subs, name: str, help_text: str, handler) -> None:
+    p = subs.add_parser(name, help=help_text, formatter_class=_formatter)
+    p.add_argument("--moduli")
+    p.add_argument("--k", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--size", type=int, required=True, help="target family size")
+    if handler is _cmd_cnf_export:
+        p.add_argument("--out", metavar="FILE", help="write DIMACS to FILE")
+    p.set_defaults(handler=handler)
+
+
 def _cmd_search_vectors(args) -> int:
     result = search_mod.max_sunflower_free_vectors(
         _parse_moduli(args.moduli),
@@ -405,33 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     _search_common(s_uni)
     s_uni.set_defaults(handler=_cmd_search_uniform)
 
-    s_cnf = ssubs.add_parser("cnf", help="export a DIMACS encoding",
-                             formatter_class=_formatter)
-    s_cnf.add_argument("--moduli")
-    s_cnf.add_argument("--k", type=int)
-    s_cnf.add_argument("--m", type=int)
-    s_cnf.add_argument("--size", type=int, required=True, help="target family size")
-    s_cnf.add_argument("--out", metavar="FILE", help="write DIMACS to FILE")
-    s_cnf.set_defaults(handler=_cmd_cnf_export)
+    _cnf_parser(ssubs, "cnf", "export a DIMACS encoding", _cmd_cnf_export)
 
     cnf_p = subs.add_parser("cnf", help="CNF export and the naive checker",
                             formatter_class=_formatter)
     csubs = cnf_p.add_subparsers(dest="cnf_cmd", required=True, metavar="WHAT")
-    c_exp = csubs.add_parser("export", help="export a DIMACS encoding",
-                             formatter_class=_formatter)
-    c_exp.add_argument("--moduli")
-    c_exp.add_argument("--k", type=int)
-    c_exp.add_argument("--m", type=int)
-    c_exp.add_argument("--size", type=int, required=True)
-    c_exp.add_argument("--out", metavar="FILE")
-    c_exp.set_defaults(handler=_cmd_cnf_export)
-    c_chk = csubs.add_parser("check", help="decide satisfiability with the naive checker",
-                             formatter_class=_formatter)
-    c_chk.add_argument("--moduli")
-    c_chk.add_argument("--k", type=int)
-    c_chk.add_argument("--m", type=int)
-    c_chk.add_argument("--size", type=int, required=True)
-    c_chk.set_defaults(handler=_cmd_cnf_check)
+    _cnf_parser(csubs, "export", "export a DIMACS encoding", _cmd_cnf_export)
+    _cnf_parser(csubs, "check", "decide satisfiability with the naive checker", _cmd_cnf_check)
 
     conj_p = subs.add_parser("conjecture", help="probe the union-size and cover conjectures",
                              formatter_class=_formatter)

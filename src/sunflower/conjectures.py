@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Mapping, Sequence
 
-from .detect import find_sunflower_sets_fast
+from .detect import bitset, find_sunflower_sets
 from .errors import DomainError, SunflowerError, TooLarge
 from .model import EXACT_INT, SetFamily
 from .search import DEFAULT_NODE_BUDGET, DEFAULT_POINT_CEILING, UniformInstance, _Workspace
@@ -103,7 +103,7 @@ def max_union(
         raise TooLarge(f"C({m},{k}) exceeds the point ceiling {point_ceiling}")
     started = time.perf_counter()
     ws = _Workspace(UniformInstance(k, m))
-    masks = [_elem_mask(p) for p in ws.points]
+    masks = ws.kernel.rows  # a k-subset's features are its elements
     deadline = None if time_limit is None else time.monotonic() + time_limit
 
     state = {"nodes": 0, "best": -1, "witness": []}
@@ -139,13 +139,13 @@ def max_union(
 
     optimal = True
     try:
-        expand([], 0, ws.full_mask)
+        expand([], 0, ws.kernel.full)
     except _UnionBudget:
         optimal = False
 
     witness = tuple(ws.points[i] for i in state["witness"])
     family = SetFamily(tuple(frozenset(p) for p in witness))
-    if find_sunflower_sets_fast(family) is not None:
+    if find_sunflower_sets(family, 3) is not None:
         raise SunflowerError("internal error: union witness contains a sunflower")
 
     cover_n: int | None
@@ -171,13 +171,6 @@ def max_union(
     )
 
 
-def _elem_mask(point: tuple[int, ...]) -> int:
-    out = 0
-    for e in point:
-        out |= 1 << e
-    return out
-
-
 def cover_count(f: SetFamily, ceiling: int = COVER_MEMBER_CEILING) -> tuple[int, tuple[int, ...]]:
     """Exact minimum number of members whose union is the whole union.
 
@@ -190,14 +183,8 @@ def cover_count(f: SetFamily, ceiling: int = COVER_MEMBER_CEILING) -> tuple[int,
     universe = sorted(f.universe)
     if not universe:
         return 0, ()
-    full = 0
     pos = {e: i for i, e in enumerate(universe)}
-    masks = []
-    for mem in f.members:
-        mask = 0
-        for e in mem:
-            mask |= 1 << pos[e]
-        masks.append(mask)
+    masks = [bitset([pos[e] for e in mem]) for mem in f.members]
     full = (1 << len(universe)) - 1
     containing: list[list[int]] = [[] for _ in universe]
     for mi, mask in enumerate(masks):

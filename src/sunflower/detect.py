@@ -4,18 +4,23 @@ A t-sunflower is a t-tuple of distinct sets whose pairwise intersections
 all equal the common intersection (the kernel).  Pairwise disjoint sets
 form a sunflower with empty kernel.  For vectors, three distinct vectors
 form a sunflower when every coordinate is all-equal or all-distinct across
-the triple; the failure mode is a coordinate where exactly two agree.
+the triple; the failure mode is a coordinate where exactly two agree.  That
+is the set condition on the features x -> {(i, x_i)}, so CompletionKernel
+serves both: C closes a sunflower with (A, B) exactly when C contains A & B
+and misses A ^ B, so a pair's completions are the AND of per-feature member
+columns over A & B minus those over A ^ B.  The fast detectors use it, and
+so, through search._Workspace.pair_mask, do the exact search and CNF export.
 
 Searches scan index combinations in lexicographic order, so the witness
-returned is always the lexicographically smallest one.  The bitmask path
-in find_sunflower_sets_fast exists only for triples and is checked against
-the definitional path property-wise in the test suite.
+returned is always the lexicographically smallest one.  The definitional
+scans (find_sunflower_sets, find_sunflower_vectors_naive) are the reference
+the tests check the kernel against and the path that verifies search answers.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Sequence
+from itertools import accumulate, combinations
+from typing import Collection, Sequence
 
 from .errors import BadArity, TooLarge
 from .model import SetFamily, SunflowerWitness, VectorFamily
@@ -76,40 +81,77 @@ def find_sunflower_sets(family: SetFamily, t: int = 3) -> SunflowerWitness | Non
 
 
 def find_sunflower_sets_fast(family: SetFamily, t: int = 3) -> SunflowerWitness | None:
-    """Bitmask scan for 3-sunflowers; agrees with find_sunflower_sets(family, 3).
-
-    Members become machine integers, and (A, B, C) is a sunflower iff
-    C & (A | B) == A & B together with the two symmetric conditions; the
-    scan order makes the first hit lexicographically smallest.
-    """
+    """Kernel scan for 3-sunflowers; agrees with find_sunflower_sets(family, 3)."""
     if t != 3:
         raise BadArity("the fast path handles only t = 3")
-    masks = [_mask(mem) for mem in family.members]
-    count = len(masks)
-    for i in range(count):
-        mi = masks[i]
-        for j in range(i + 1, count):
-            mj = masks[j]
-            kij = mi & mj
-            union = mi | mj
-            for l in range(j + 1, count):
-                ml = masks[l]
-                # kernel of the triple is k = mi & mj & ml; the triple is a
-                # sunflower iff all three pairwise intersections equal k,
-                # which for l > j collapses to the two tests below.
-                if ml & union == kij:
-                    kernel = frozenset(
-                        e for e in family.members[i] if e in family.members[j]
-                    )
-                    return SunflowerWitness((i, j, l), kernel=kernel)
-    return None
+    hit = CompletionKernel(family.members).first_triple()
+    if hit is None:
+        return None
+    i, j, _ = hit
+    return SunflowerWitness(hit, kernel=family.members[i] & family.members[j])
 
 
-def _mask(mem: frozenset[int]) -> int:
-    out = 0
-    for e in mem:
-        out |= 1 << e
-    return out
+def bitset(items: Collection[int]) -> int:
+    """Bitset of non-negative ints, built in time linear in its size."""
+    buf = bytearray((max(items, default=-1) >> 3) + 1)
+    for e in items:
+        buf[e >> 3] |= 1 << (e & 7)
+    return int.from_bytes(buf, "little")
+
+
+def vector_feature_ids(moduli: Sequence[int]) -> list[range]:
+    """ids[i][v] is the feature id of (coordinate i, value v), coordinate-major."""
+    starts = accumulate(moduli, initial=0)
+    return [range(start, start + d) for start, d in zip(starts, moduli)]
+
+
+def vector_features(moduli: Sequence[int], vectors) -> list[tuple[int, ...]]:
+    """Each vector as the feature ids of its (coordinate, value) pairs."""
+    ids = vector_feature_ids(moduli)
+    return [tuple(col[v] for col, v in zip(ids, vec)) for vec in vectors]
+
+
+class CompletionKernel:
+    """Pair completions over a member list; bit l stands for member l.
+
+    Members are kept as feature bitsets, and each feature as the bitset of
+    the members holding it, so a pair costs O(|A| + |B|) big-int operations
+    whatever the member count.
+    """
+
+    def __init__(self, members: Sequence[Collection[int]]):
+        self.rows = [bitset(mem) for mem in members]
+        holders: dict[int, list[int]] = {}
+        for l, mem in enumerate(members):
+            for f in mem:
+                holders.setdefault(f, []).append(l)
+        self.cols = {f: bitset(ls) for f, ls in holders.items()}
+        self.full = (1 << len(self.rows)) - 1
+
+    def completions(self, i: int, j: int) -> int:
+        """Members l other than i, j with (i, j, l) a 3-sunflower."""
+        cols = self.cols
+        keep, drop = self.full, 1 << i | 1 << j
+        shared, differ = self.rows[i] & self.rows[j], self.rows[i] ^ self.rows[j]
+        while shared:
+            low = shared & -shared
+            keep &= cols[low.bit_length() - 1]
+            shared ^= low
+        while differ:
+            low = differ & -differ
+            drop |= cols[low.bit_length() - 1]
+            differ ^= low
+        return keep & ~drop
+
+    def first_triple(self) -> tuple[int, int, int] | None:
+        """Lex-first sunflower: pairs in lex order, lowest completion above j."""
+        count = len(self.rows)
+        for i in range(count):
+            for j in range(i + 1, count):
+                above = self.completions(i, j) >> (j + 1)
+                if above:
+                    return i, j, j + (above & -above).bit_length()
+        return None
 
 
 def witness_holds(family: SetFamily, witness: SunflowerWitness, t: int | None = None) -> bool:
@@ -154,14 +196,21 @@ def is_sunflower_vectors(
 
 
 def find_sunflower_vectors(family: VectorFamily) -> SunflowerWitness | None:
-    """First vector 3-sunflower in index-lexicographic order, or None."""
+    """Kernel scan; agrees with find_sunflower_vectors_naive (lex-first witness)."""
     members = family.members
-    for i, j, l in combinations(range(len(members)), 3):
-        if is_sunflower_vectors(members[i], members[j], members[l]):
-            return SunflowerWitness(
-                (i, j, l),
-                coordinate_classes=coordinate_classes(members[i], members[j], members[l]),
-            )
+    hit = CompletionKernel(vector_features(family.moduli, members)).first_triple()
+    if hit is None:
+        return None
+    triple = [members[i] for i in hit]
+    return SunflowerWitness(hit, coordinate_classes=coordinate_classes(*triple))
+
+
+def find_sunflower_vectors_naive(family: VectorFamily) -> SunflowerWitness | None:
+    """Definitional triple scan in index-lexicographic order, or None."""
+    for idx in combinations(range(len(family.members)), 3):
+        triple = [family.members[i] for i in idx]
+        if is_sunflower_vectors(*triple):
+            return SunflowerWitness(idx, coordinate_classes=coordinate_classes(*triple))
     return None
 
 

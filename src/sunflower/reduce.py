@@ -19,7 +19,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import bounds as _bounds
-from .detect import find_sunflower_sets_fast, find_sunflower_vectors
+from .detect import (
+    find_sunflower_sets_fast,
+    find_sunflower_vectors,
+    vector_feature_ids,
+    vector_features,
+)
 from .errors import DomainError, InputHasSunflower, NotPartite, OutOfRange
 from .model import (
     ModulusVector,
@@ -34,22 +39,13 @@ from .rng import SplitMix64
 def embed_vectors_as_sets(f: VectorFamily) -> SetFamily:
     """Turn each vector v into the set {(v_i + 1, i + 1) : i}, an n-set.
 
-    Element ids enumerate the full universe of (coordinate, value) pairs,
-    coordinate-major, so the embedding depends only on the moduli.  The
-    labels carry the (value, coordinate) pairs, 1-based on both sides.
+    Element ids are the completion kernel's (coordinate, value) feature ids
+    over the full universe, so the embedding depends only on the moduli.
+    The labels carry the (value, coordinate) pairs, 1-based on both sides.
     """
-    offsets = []
-    total = 0
-    for d in f.moduli:
-        offsets.append(total)
-        total += d
-    labels = {}
-    for i, d in enumerate(f.moduli):
-        for v in range(d):
-            labels[offsets[i] + v] = f"({v + 1},{i + 1})"
-    members = tuple(
-        frozenset(offsets[i] + v for i, v in enumerate(vec)) for vec in f.members
-    )
+    ids = vector_feature_ids(f.moduli)
+    labels = {e: f"({v + 1},{i + 1})" for i, col in enumerate(ids) for v, e in enumerate(col)}
+    members = tuple(map(frozenset, vector_features(f.moduli, f.members)))
     return SetFamily(members, labels)
 
 

@@ -9,7 +9,10 @@ family (greedy seeding preserves this: the greedy family is the lex-first
 maximal family, and no maximum family is lex-smaller than it).
 
 Triple constraints are materialized lazily as per-pair "completion" masks:
-the set of points that close a sunflower with a given chosen pair.
+the set of points that close a sunflower with a given chosen pair, computed
+by detect.CompletionKernel over the points' features (a k-subset's elements,
+a vector's (coordinate, value) ids).  Answers are verified with the
+definitional scans of detect, never with the kernel that produced them.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import bounds as _bounds
-from .detect import find_sunflower_sets_fast, find_sunflower_vectors
+from .detect import CompletionKernel, find_sunflower_sets, find_sunflower_vectors_naive
+from .detect import vector_features
 from .errors import DomainError, SunflowerError, TooLarge
 from .model import (
     EXACT_INT,
@@ -48,8 +52,6 @@ class VectorInstance:
         return self.moduli.point_count()
 
     def points(self) -> list[tuple[int, ...]]:
-        if self.moduli.n == 0:
-            return [()]
         return list(product(*(range(d) for d in self.moduli)))
 
     def describe(self) -> dict:
@@ -70,16 +72,8 @@ class VectorInstance:
     def supports_anchor(self) -> bool:
         return self.point_count() >= 1
 
-    def completes(self, a: tuple[int, ...], b: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-        # Coordinates where a and b agree force equality; coordinates where
-        # they differ exclude both values.  The completions form a product.
-        choices = []
-        for x, y, d in zip(a, b, self.moduli):
-            if x == y:
-                choices.append((x,))
-            else:
-                choices.append(tuple(v for v in range(d) if v != x and v != y))
-        return product(*choices)
+    def features(self, points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        return vector_features(self.moduli, points)
 
 
 @dataclass(frozen=True)
@@ -112,50 +106,27 @@ class UniformInstance:
     def supports_anchor(self) -> bool:
         return False
 
+    def features(self, points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        return points
+
 
 Instance = VectorInstance | UniformInstance
 
 
 class _Workspace:
-    """Points, index map, and the lazy pair-completion mask cache."""
+    """Points, their completion kernel, and the lazy pair-mask cache."""
 
     def __init__(self, instance: Instance):
-        self.instance = instance
         self.points = instance.points()
-        self.index = {p: i for i, p in enumerate(self.points)}
-        self.full_mask = (1 << len(self.points)) - 1
+        self.kernel = CompletionKernel(instance.features(self.points))
         self._pair_cache: dict[tuple[int, int], int] = {}
-        if isinstance(instance, UniformInstance):
-            self._masks = [_setmask(p) for p in self.points]
-        else:
-            self._masks = None
 
     def pair_mask(self, i: int, j: int) -> int:
         key = (i, j) if i < j else (j, i)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        if self._masks is None:
-            mask = 0
-            for point in self.instance.completes(self.points[key[0]], self.points[key[1]]):
-                mask |= 1 << self.index[point]
-        else:
-            a, b = self._masks[key[0]], self._masks[key[1]]
-            kernel = a & b
-            union = a | b
-            mask = 0
-            for l, ml in enumerate(self._masks):
-                if l != key[0] and l != key[1] and ml & union == kernel:
-                    mask |= 1 << l
-        self._pair_cache[key] = mask
+        mask = self._pair_cache.get(key)
+        if mask is None:
+            mask = self._pair_cache[key] = self.kernel.completions(*key)
         return mask
-
-
-def _setmask(point: tuple[int, ...]) -> int:
-    out = 0
-    for e in point:
-        out |= 1 << e
-    return out
 
 
 class _BudgetExceeded(Exception):
@@ -256,7 +227,7 @@ def greedy_lower_bound(instance: Instance) -> list[int]:
 
 def _greedy(ws: _Workspace) -> list[int]:
     chosen: list[int] = []
-    cands = ws.full_mask
+    cands = ws.kernel.full
     while cands:
         p = (cands & -cands).bit_length() - 1
         cands &= cands - 1
@@ -272,7 +243,6 @@ def _run_search(
     time_limit: float | None,
     anchor: bool,
     point_ceiling: int,
-    threads: int = 1,
 ) -> SearchResult:
     count = instance.point_count()
     if count > point_ceiling:
@@ -286,10 +256,10 @@ def _run_search(
     anchored = anchor and instance.supports_anchor()
     if anchored:
         # sound per the translation argument on VectorInstance
-        narrowed = ws.full_mask & ~1
+        narrowed = ws.kernel.full & ~1
         optimal = search.run([0], narrowed)
     else:
-        optimal = search.run([], ws.full_mask)
+        optimal = search.run([], ws.kernel.full)
 
     best = search.best
     points = tuple(ws.points[i] for i in best)
@@ -361,9 +331,12 @@ def max_sunflower_free_vectors(
     point_ceiling: int = DEFAULT_POINT_CEILING,
     threads: int = 1,
 ) -> SearchResult:
-    """Exact maximum sunflower-free family in the product of cyclic groups."""
+    """Exact maximum sunflower-free family in the product of cyclic groups.
+
+    ``threads`` is accepted for API compatibility and ignored.
+    """
     instance = VectorInstance(as_modulus_vector(moduli))
-    return _run_search(instance, max_nodes, time_limit, anchor, point_ceiling, threads)
+    return _run_search(instance, max_nodes, time_limit, anchor, point_ceiling)
 
 
 def max_sunflower_free_uniform(
@@ -374,24 +347,30 @@ def max_sunflower_free_uniform(
     point_ceiling: int = DEFAULT_POINT_CEILING,
     threads: int = 1,
 ) -> SearchResult:
-    """Exact maximum sunflower-free family of k-subsets of [m]."""
+    """Exact maximum sunflower-free family of k-subsets of [m].
+
+    ``threads`` is accepted for API compatibility and ignored.
+    """
     instance = UniformInstance(k, m)
-    return _run_search(instance, max_nodes, time_limit, False, point_ceiling, threads)
+    return _run_search(instance, max_nodes, time_limit, False, point_ceiling)
 
 
 def verify_family_points(
     instance: Instance, points: Sequence[tuple[int, ...]]
 ) -> tuple[bool, SunflowerWitness | None]:
-    """Sunflower-freeness of explicit points; smallest witness when violated."""
+    """Sunflower-freeness of explicit points; smallest witness when violated.
+
+    Uses the definitional scans, independent of the kernel behind the search.
+    """
     if isinstance(instance, VectorInstance):
         fam = VectorFamily(instance.moduli, tuple(points))
-        witness = find_sunflower_vectors(fam)
+        witness = find_sunflower_vectors_naive(fam)
     else:
         for p in points:
             if len(p) != instance.k or not all(0 <= e < instance.m for e in p):
                 raise DomainError(f"point {p} is not a {instance.k}-subset of [{instance.m}]")
         fam = SetFamily(tuple(frozenset(p) for p in points))
-        witness = find_sunflower_sets_fast(fam)
+        witness = find_sunflower_sets(fam, 3)
     return witness is None, witness
 
 
@@ -449,18 +428,14 @@ def export_cnf(instance: Instance, size: int) -> CnfInstance:
         f"var {i + 1} = {instance.point_text(p)}" for i, p in enumerate(pts)
     )
     clauses: list[tuple[int, ...]] = []
-    triples = 0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            mask = ws.pair_mask(i, j) >> (j + 1)
-            l = j + 1
-            while mask:
-                if mask & 1:
-                    clauses.append((-(i + 1), -(j + 1), -(l + 1)))
-                    triples += 1
-                mask >>= 1
-                l += 1
-    comments.insert(3, f"sunflower triple clauses: {triples}")
+            above = ws.pair_mask(i, j) >> (j + 1)
+            while above:
+                low = above & -above
+                clauses.append((-(i + 1), -(j + 1), -(j + 1 + low.bit_length())))
+                above ^= low
+    comments.insert(3, f"sunflower triple clauses: {len(clauses)}")
 
     num_vars = len(pts)
     if size > 0 and not pts:

@@ -36,6 +36,7 @@ from sunflower import (
     parse_vector_family,
     witness_holds,
 )
+from sunflower.detect import CompletionKernel
 
 
 def fam(text: str) -> SetFamily:
@@ -204,7 +205,7 @@ class TestFastMatchesNaive:
 
 @given(
     st.lists(
-        st.frozensets(st.integers(0, 7), min_size=1, max_size=4),
+        st.frozensets(st.integers(0, 7), min_size=0, max_size=4),
         min_size=3,
         max_size=10,
         unique=True,
@@ -221,6 +222,28 @@ def test_property_fast_agrees_with_definitional_scan(members):
         chosen = [members[i] for i in fast.indices]
         assert brute_is_sunflower_sets(chosen)
         assert fast.kernel == frozenset.intersection(*map(frozenset, chosen))
+
+
+@given(
+    st.lists(
+        st.frozensets(st.integers(0, 7), min_size=0, max_size=4),
+        min_size=2,
+        max_size=8,
+        unique=True,
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_property_kernel_completions_match_definitional(members):
+    # nested and empty members included: a pair never completes itself
+    kernel = CompletionKernel(members)
+    for i, j in itertools.combinations(range(len(members)), 2):
+        expected = sum(
+            1 << l
+            for l in range(len(members))
+            if l not in (i, j)
+            and brute_is_sunflower_sets((members[i], members[j], members[l]))
+        )
+        assert kernel.completions(i, j) == expected
 
 
 @given(st.data())

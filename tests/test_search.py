@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import brute_cnf_satisfiable, brute_max_free
+from oracles import (
+    brute_cnf_satisfiable,
+    brute_is_sunflower_sets,
+    brute_is_sunflower_vectors,
+    brute_max_free,
+)
 
 from sunflower import (
     DomainError,
@@ -30,6 +35,7 @@ from sunflower import (
     verify_family,
     verify_family_points,
 )
+from sunflower.search import _Workspace
 
 
 class TestKnownMaxima:
@@ -293,6 +299,34 @@ class TestInstances:
             "moduli": [3, 4],
         }
         assert UniformInstance(2, 6).describe() == {"kind": "uniform", "k": 2, "m": 6}
+
+
+class TestPairMasks:
+    """Every pair's completion mask, pinned to a definitional brute force."""
+
+    @staticmethod
+    def assert_masks_match(inst, is_sunflower):
+        ws = _Workspace(inst)
+        pts = inst.points()
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            expected = sum(
+                1 << l
+                for l in range(len(pts))
+                if l not in (i, j) and is_sunflower(pts[i], pts[j], pts[l])
+            )
+            assert ws.pair_mask(i, j) == expected, (pts[i], pts[j])
+            assert ws.pair_mask(j, i) == expected
+
+    @pytest.mark.parametrize("moduli", [(2, 3), (3, 4), (2, 2, 3), (3, 3, 3)])
+    def test_vector_instances(self, moduli):
+        inst = VectorInstance(as_modulus_vector(moduli))
+        self.assert_masks_match(inst, brute_is_sunflower_vectors)
+
+    @pytest.mark.parametrize("k,m", [(2, 5), (3, 6)])
+    def test_uniform_instances(self, k, m):
+        self.assert_masks_match(
+            UniformInstance(k, m), lambda a, b, c: brute_is_sunflower_sets((a, b, c))
+        )
 
 
 @given(st.lists(st.integers(2, 4), min_size=1, max_size=3))
