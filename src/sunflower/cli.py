@@ -86,6 +86,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _thread_count(args) -> int:
+    """Validated --threads / SUNFLOWER_THREADS; the library accepts and ignores it."""
     value = getattr(args, "threads", None)
     if value is None:
         env = os.environ.get("SUNFLOWER_THREADS")

@@ -11,7 +11,6 @@ leaving pass/fail meaningful only for the 2k cover form.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Mapping, Sequence
@@ -19,7 +18,13 @@ from typing import Mapping, Sequence
 from .detect import bitset, find_sunflower_sets
 from .errors import DomainError, SunflowerError, TooLarge
 from .model import EXACT_INT, SetFamily
-from .search import DEFAULT_NODE_BUDGET, DEFAULT_POINT_CEILING, UniformInstance, _Workspace
+from .search import (
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_POINT_CEILING,
+    UniformInstance,
+    _Engine,
+    _Workspace,
+)
 
 COVER_MEMBER_CEILING = 30
 
@@ -80,10 +85,6 @@ class ConjectureReport:
 CSV_HEADER = "k,m,max_union,family_size,implied_d,cover_count,cover_pass,two_k,optimal,nodes"
 
 
-class _UnionBudget(Exception):
-    pass
-
-
 def max_union(
     k: int,
     m: int,
@@ -94,56 +95,21 @@ def max_union(
 ) -> ConjectureReport:
     """Maximize the union size over sunflower-free k-uniform families on [m].
 
-    Branch and bound over the k-subsets in lexicographic order; the pruning
-    potential is the union of the chosen members with everything still
-    admissible.  The witness is the lexicographically first family attaining
-    the maximum, re-verified sunflower-free before reporting.
+    Runs the search engine's union objective over the k-subsets in
+    lexicographic order: a node's value is the size of the chosen members'
+    union, and its bound is that union with every still-admissible member.
+    The witness is the lexicographically first family attaining the maximum,
+    re-verified sunflower-free before reporting.
     """
     if comb(m, k) > point_ceiling:
         raise TooLarge(f"C({m},{k}) exceeds the point ceiling {point_ceiling}")
     started = time.perf_counter()
     ws = _Workspace(UniformInstance(k, m))
-    masks = ws.kernel.rows  # a k-subset's features are its elements
-    deadline = None if time_limit is None else time.monotonic() + time_limit
+    # a k-subset's features are its elements, so its kernel row is its bitset
+    engine = _Engine(ws, max_nodes, time_limit, weights=ws.kernel.rows)
+    optimal = engine.run([], ws.kernel.full)
 
-    state = {"nodes": 0, "best": -1, "witness": []}
-
-    def expand(chosen: list[int], chosen_union: int, cands: int) -> None:
-        while True:
-            state["nodes"] += 1
-            if state["nodes"] > max_nodes:
-                raise _UnionBudget
-            if deadline is not None and state["nodes"] % 4096 == 0:
-                if time.monotonic() > deadline:
-                    raise _UnionBudget
-            if chosen_union.bit_count() > state["best"]:
-                state["best"] = chosen_union.bit_count()
-                state["witness"] = list(chosen)
-            if cands == 0:
-                return
-            potential = chosen_union
-            rest = cands
-            while rest:
-                potential |= masks[(rest & -rest).bit_length() - 1]
-                rest &= rest - 1
-            if potential.bit_count() <= state["best"]:
-                return
-            p = (cands & -cands).bit_length() - 1
-            cands &= cands - 1
-            narrowed = cands
-            for a in chosen:
-                narrowed &= ~ws.pair_mask(a, p)
-            chosen.append(p)
-            expand(chosen, chosen_union | masks[p], narrowed)
-            chosen.pop()
-
-    optimal = True
-    try:
-        expand([], 0, ws.kernel.full)
-    except _UnionBudget:
-        optimal = False
-
-    witness = tuple(ws.points[i] for i in state["witness"])
+    witness = tuple(ws.points[i] for i in engine.best)
     family = SetFamily(tuple(frozenset(p) for p in witness))
     if find_sunflower_sets(family, 3) is not None:
         raise SunflowerError("internal error: union witness contains a sunflower")
@@ -159,14 +125,14 @@ def max_union(
     return ConjectureReport(
         k=k,
         m=m,
-        max_union=max(state["best"], 0),
+        max_union=engine.best_value,
         witness=witness,
-        implied_d=max(state["best"], 0) / (k * k),
+        implied_d=engine.best_value / (k * k),
         cover_count=cover_n,
         cover_members=cover_members,
         cover_pass=cover_pass,
         optimal=optimal,
-        nodes_explored=state["nodes"],
+        nodes_explored=engine.nodes,
         elapsed=time.perf_counter() - started,
     )
 
@@ -223,7 +189,11 @@ def conjecture_scan(
     time_limit: float | None = None,
     threads: int = 1,
 ) -> list[ConjectureReport]:
-    """One report per (k, m) cell, k-major order; rows run independently."""
+    """One report per (k, m) cell, k-major order.
+
+    ``threads`` is accepted for API compatibility and ignored: the cells are
+    pure-Python work that threads cannot overlap.
+    """
     cells = []
     for k in ks:
         for m in ms:
@@ -231,14 +201,7 @@ def conjecture_scan(
                 raise DomainError("k and m must be at least 1")
             if k <= m:
                 cells.append((k, m))
-
-    def row(cell: tuple[int, int]) -> ConjectureReport:
-        return max_union(cell[0], cell[1], max_nodes=max_nodes, time_limit=time_limit)
-
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(row, cells))
-    return [row(cell) for cell in cells]
+    return [max_union(k, m, max_nodes=max_nodes, time_limit=time_limit) for k, m in cells]
 
 
 def scan_to_csv(reports: Sequence[ConjectureReport]) -> str:

@@ -13,7 +13,6 @@ needed to re-check it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -154,7 +153,9 @@ def ek_partition(
     class index); that choice certifies |G| >= (k!/k^k) |f|.  Seeded mode
     draws one uniform assignment per round from the documented generator
     and keeps the best round (size, then lexicographically smallest
-    assignment); its guarantee holds in expectation only.
+    assignment); its guarantee holds in expectation only.  ``threads`` is
+    accepted for API compatibility and ignored: the rounds are pure-Python
+    work that threads cannot overlap.
     """
     if k is None:
         k = f.uniformity
@@ -185,11 +186,7 @@ def ek_partition(
         rng = SplitMix64(rs)
         return [rng.below(k) for _ in elements]
 
-    if threads > 1 and rounds > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            assignments = list(pool.map(one_round, round_seeds))
-    else:
-        assignments = [one_round(rs) for rs in round_seeds]
+    assignments = [one_round(rs) for rs in round_seeds]
 
     def score(assignment: list[int]) -> tuple:
         _, g = _assignment_to_result(f, elements, k, assignment)

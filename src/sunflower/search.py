@@ -1,12 +1,16 @@
 """Exact maximum sunflower-free families by branch and bound, plus CNF export.
 
-Instances enumerate their candidate points in lexicographic order and the
-search walks include-first depth-first in that order, keeping the first
-incumbent of each improved size.  Two facts make the output canonical:
-improvement is strict, and a subtree is pruned only when it cannot beat the
-incumbent, so the family returned is the lexicographically smallest maximum
-family (greedy seeding preserves this: the greedy family is the lex-first
-maximal family, and no maximum family is lex-smaller than it).
+One engine, _Engine, runs every exact search: an include-first depth-first
+walk over the points in lexicographic order, on an explicit stack so that
+Python's recursion limit never bounds the family size.  Its objective is
+the popcount of the OR of the chosen points' weights: the family size when
+each point weighs its own bit (here), the union size when a k-subset weighs
+its element bitset (conjectures.max_union).  Only the upper bound differs
+between the two.  Two facts make the output canonical: improvement is
+strict, and a subtree is pruned only when it cannot beat the incumbent, so
+the family returned is the lexicographically smallest maximum family
+(greedy seeding preserves this: the greedy family is the lex-first maximal
+family, and no maximum family is lex-smaller than it).
 
 Triple constraints are materialized lazily as per-pair "completion" masks:
 the set of points that close a sunflower with a given chosen pair, computed
@@ -129,65 +133,85 @@ class _Workspace:
         return mask
 
 
-class _BudgetExceeded(Exception):
-    pass
+class _Engine:
+    """Include-first branch and bound on an explicit stack of resume frames.
 
+    A node is (chosen, acc, cands): acc is the OR of the chosen points'
+    weights and cands the admissible points above the last chosen one.  A
+    node whose popcount(acc) beats the incumbent is recorded; one whose
+    bound (acc | cands without weights, else acc with every candidate's
+    weight) cannot beat it is pruned.  Including a point pushes the
+    parent's (cands, acc); popping it resumes the parent with that point
+    excluded.
+    """
 
-class _Search:
     def __init__(
         self,
         ws: _Workspace,
         max_nodes: int,
         time_limit: float | None,
+        weights: Sequence[int] | None = None,
     ):
         self.ws = ws
+        self.weights = weights
         self.max_nodes = max_nodes
         self.deadline = None if time_limit is None else time.monotonic() + time_limit
         self.nodes = 0
         self.prunes = 0
         self.best: list[int] = []
-        self.chosen: list[int] = []
+        self.best_value = 0
+
+    def _acc(self, points: list[int]) -> int:
+        acc = 0
+        for p in points:
+            acc |= 1 << p if self.weights is None else self.weights[p]
+        return acc
 
     def seed(self, incumbent: list[int]) -> None:
         self.best = list(incumbent)
+        self.best_value = self._acc(incumbent).bit_count()
 
     def run(self, chosen: list[int], cands: int) -> bool:
         """DFS from a start state; True when exhausted within budget."""
-        self.chosen = list(chosen)
-        try:
-            self._expand(cands)
-            return True
-        except _BudgetExceeded:
-            return False
-
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise _BudgetExceeded
-        if self.deadline is not None and self.nodes % _TIME_CHECK_STRIDE == 0:
-            if time.monotonic() > self.deadline:
-                raise _BudgetExceeded
-
-    def _expand(self, cands: int) -> None:
-        chosen = self.chosen
+        weights, pair_mask, deadline = self.weights, self.ws.pair_mask, self.deadline
+        chosen = list(chosen)
+        acc = self._acc(chosen)
+        stack: list[tuple[int, int]] = []
         while True:
-            self._tick()
-            if cands == 0:
-                if len(chosen) > len(self.best):
-                    self.best = list(chosen)
-                return
-            if len(chosen) + cands.bit_count() <= len(self.best):
-                self.prunes += 1
-                return
-            p = (cands & -cands).bit_length() - 1
-            cands &= cands - 1
-            narrowed = cands
-            for a in chosen:
-                narrowed &= ~self.ws.pair_mask(a, p)
-            chosen.append(p)
-            self._expand(narrowed)
+            self.nodes += 1
+            if self.nodes > self.max_nodes:
+                return False
+            if deadline is not None and self.nodes % _TIME_CHECK_STRIDE == 0:
+                if time.monotonic() > deadline:
+                    return False
+            value = acc.bit_count()
+            if value > self.best_value:
+                self.best_value = value
+                self.best = list(chosen)
+            if cands:
+                if weights is None:
+                    bound = acc | cands
+                else:
+                    bound, rest = acc, cands
+                    while rest:
+                        bound |= weights[(rest & -rest).bit_length() - 1]
+                        rest &= rest - 1
+                if bound.bit_count() <= self.best_value:
+                    self.prunes += 1
+                else:
+                    low = cands & -cands
+                    p = low.bit_length() - 1
+                    cands ^= low
+                    stack.append((cands, acc))
+                    for a in chosen:
+                        cands &= ~pair_mask(a, p)
+                    chosen.append(p)
+                    acc |= low if weights is None else weights[p]
+                    continue
+            if not stack:
+                return True
+            cands, acc = stack.pop()
             chosen.pop()
-            # falling through the loop excludes p and continues
 
 
 @dataclass(frozen=True)
@@ -251,7 +275,7 @@ def _run_search(
     ws = _Workspace(instance)
     greedy = _greedy(ws)
 
-    search = _Search(ws, max_nodes, time_limit)
+    search = _Engine(ws, max_nodes, time_limit)
     search.seed(greedy)
     anchored = anchor and instance.supports_anchor()
     if anchored:
@@ -417,8 +441,8 @@ def export_cnf(instance: Instance, size: int) -> CnfInstance:
     count = instance.point_count()
     if count > CNF_POINT_CEILING:
         raise TooLarge(f"CNF export capped at {CNF_POINT_CEILING} points, got {count}")
-    ws = _Workspace(instance)
-    pts = ws.points
+    pts = instance.points()
+    kernel = CompletionKernel(instance.features(pts))
     comments = [
         "sunflower-free family encoding: variable i+1 <=> point i chosen",
         f"instance: {_describe_text(instance)}",
@@ -430,7 +454,7 @@ def export_cnf(instance: Instance, size: int) -> CnfInstance:
     clauses: list[tuple[int, ...]] = []
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            above = ws.pair_mask(i, j) >> (j + 1)
+            above = kernel.completions(i, j) >> (j + 1)
             while above:
                 low = above & -above
                 clauses.append((-(i + 1), -(j + 1), -(j + 1 + low.bit_length())))
@@ -471,6 +495,7 @@ def cnf_satisfiable(cnf: CnfInstance, max_vars: int = 4000) -> bool:
 
     Branches on the lowest unassigned variable, trying true first, so the
     decision order matches the point order of the exported encodings.
+    Decisions live on an explicit stack, not on Python's call stack.
     """
     if cnf.num_vars > max_vars:
         raise TooLarge(f"naive checker capped at {max_vars} variables")
@@ -524,21 +549,6 @@ def cnf_satisfiable(cnf: CnfInstance, max_vars: int = 4000) -> bool:
         for v in trail:
             assign[v] = None
 
-    def dpll(first_free: int) -> bool:
-        v = first_free
-        while v <= n and assign[v] is not None:
-            v += 1
-        if v > n:
-            return True
-        for value in (True, False):
-            trail: list[int] = []
-            assign[v] = value
-            trail.append(v)
-            if propagate(trail) and dpll(v + 1):
-                return True
-            undo(trail)
-        return False
-
     trail: list[int] = []
     for cl in clauses:
         if len(cl) == 1:
@@ -546,4 +556,26 @@ def cnf_satisfiable(cnf: CnfInstance, max_vars: int = 4000) -> bool:
                 return False
     if not propagate(trail):
         return False
-    return dpll(1)
+
+    decisions: list[tuple[int, bool, list[int]]] = []
+    v = 1
+    while True:
+        while v <= n and assign[v] is not None:
+            v += 1
+        if v > n:
+            return True
+        value = True
+        while True:
+            assign[v] = value
+            trail = [v]
+            if propagate(trail):
+                decisions.append((v, value, trail))
+                v += 1
+                break
+            undo(trail)
+            while not value:  # both values failed: flip an earlier decision
+                if not decisions:
+                    return False
+                v, value, trail = decisions.pop()
+                undo(trail)
+            value = False

@@ -245,6 +245,15 @@ class TestCnfCommands:
         assert code == 0
         assert json.loads(out)["satisfiable"] is False
 
+    def test_check_deeper_than_the_recursion_limit(self, capsys):
+        # 2,673 variables, and DPLL makes more nested decisions than Python's
+        # default recursion limit allows frames
+        code, out, _ = run(capsys, "cnf", "check", "--moduli", "3,3,3,3,3", "--size", "10")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["num_vars"] == 2673
+        assert payload["satisfiable"] is True
+
     def test_moduli_and_uniform_flags_conflict(self, capsys):
         code, _, err = run(
             capsys,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import brute_cover_count, brute_max_union
+from oracles import brute_cover_count, brute_find_sunflower_sets, brute_max_union
 
 from sunflower import (
     CSV_HEADER,
@@ -72,6 +72,14 @@ class TestMaxUnion:
     def test_point_ceiling(self):
         with pytest.raises(TooLarge):
             max_union(6, 24, point_ceiling=1000)
+
+    def test_node_budget_degrades_gracefully(self):
+        # the unbudgeted run needs 8,747 nodes
+        rep = max_union(2, 8, max_nodes=50)
+        assert not rep.optimal
+        assert rep.nodes_explored == 51
+        assert brute_find_sunflower_sets(rep.witness) is None
+        assert len(set().union(*rep.witness)) == rep.max_union
 
 
 class TestCoverCount:

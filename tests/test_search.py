@@ -35,7 +35,7 @@ from sunflower import (
     verify_family,
     verify_family_points,
 )
-from sunflower.search import _Workspace
+from sunflower.search import _Engine, _Workspace
 
 
 class TestKnownMaxima:
@@ -116,6 +116,18 @@ class TestSearchMechanics:
     def test_point_ceiling(self):
         with pytest.raises(TooLarge):
             max_sunflower_free_vectors((4, 4, 4, 4, 4), point_ceiling=1000)
+
+    def test_engine_depth_is_not_bounded_by_the_recursion_limit(self):
+        class NoCompletions:  # as in Z2^n, where no triple is a sunflower
+            def pair_mask(self, i, j):
+                return 0
+
+        points = sys.getrecursionlimit() + 200
+        engine = _Engine(NoCompletions(), max_nodes=points + 300, time_limit=None)
+        # the include-only path is `points` deep before any budget cut
+        assert engine.run([], (1 << points) - 1) is False
+        assert engine.nodes == points + 301
+        assert engine.best == list(range(points))
 
     def test_nodes_deterministic_across_thread_settings(self):
         a = max_sunflower_free_uniform(2, 6, threads=1)
@@ -250,6 +262,22 @@ class TestDpll:
         # 1 -> 2 -> 3, with unit 1 and clause requiring -3: unsat
         clauses = ((1,), (-1, 2), (-2, 3), (-3,))
         assert not cnf_satisfiable(CnfInstance(3, clauses, ()))
+
+    def test_flipped_decision_retracts_its_implications(self):
+        from sunflower.search import CnfInstance
+
+        # 1 implies 2; under 1 both values of the decision on 3 fail, and
+        # 1 = false needs 2 = false, so the implied 2 must be undone too
+        clauses = (
+            (-1, 2),
+            (-1, -3, 4),
+            (-1, -3, -4),
+            (-1, 3, 4),
+            (-1, 3, -4),
+            (1, -2),
+        )
+        assert cnf_satisfiable(CnfInstance(4, clauses, ()))
+        assert brute_cnf_satisfiable(4, clauses)
 
     def test_var_cap(self):
         from sunflower.search import CnfInstance
