@@ -8,8 +8,8 @@ the triple; the failure mode is a coordinate where exactly two agree.  That
 is the set condition on the features x -> {(i, x_i)}, so CompletionKernel
 serves both: C closes a sunflower with (A, B) exactly when C contains A & B
 and misses A ^ B, so a pair's completions are the AND of per-feature member
-columns over A & B minus those over A ^ B.  The fast detectors use it, and
-so, through search._Workspace.pair_mask, do the exact search and CNF export.
+columns over A & B minus those over A ^ B.  The fast detectors, the exact
+search's completion table (search._Workspace) and CNF export all use it.
 
 Searches scan index combinations in lexicographic order, so the witness
 returned is always the lexicographically smallest one.  The definitional
@@ -220,15 +220,17 @@ def is_ap_triple(x: Sequence[int], y: Sequence[int], z: Sequence[int], moduli) -
 
 
 def find_ap_triple(family: VectorFamily) -> tuple[int, int, int] | None:
-    """First index triple (i, j, l), i < j < l, forming a coordinatewise AP.
+    """First index triple (i, j, l), i < j < l, with m_i + m_l = 2 m_j coordinatewise.
 
-    Members are tested in index order, with the j-th member as the middle
-    term; the reversed reading (l, j, i) is the same progression, so each
-    unordered triple is tested with its index-middle member as the middle.
+    Members are distinct, so each pair (i, j), in lex order, fixes the third
+    term; its index is accepted only above j (with even moduli it may be i).
     """
     members = family.members
     moduli = tuple(family.moduli)
-    for i, j, l in combinations(range(len(members)), 3):
-        if is_ap_triple(members[i], members[j], members[l], moduli):
-            return (i, j, l)
+    index = {m: l for l, m in enumerate(members)}
+    for i, x in enumerate(members):
+        for j in range(i + 1, len(members)):
+            z = tuple((2 * b - a) % d for a, b, d in zip(x, members[j], moduli))
+            if index.get(z, -1) > j:
+                return (i, j, index[z])
     return None

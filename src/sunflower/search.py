@@ -12,11 +12,10 @@ the family returned is the lexicographically smallest maximum family
 (greedy seeding preserves this: the greedy family is the lex-first maximal
 family, and no maximum family is lex-smaller than it).
 
-Triple constraints are materialized lazily as per-pair "completion" masks:
-the set of points that close a sunflower with a given chosen pair, computed
-by detect.CompletionKernel over the points' features (a k-subset's elements,
-a vector's (coordinate, value) ids).  Answers are verified with the
-definitional scans of detect, never with the kernel that produced them.
+Triple constraints live in a lazy table: row p, made when point p is first
+included, holds at each chosen a < p the complement of the completions of
+(a, p) (detect.CompletionKernel over the points' features).  Answers are
+verified with the definitional scans of detect, never with that kernel.
 """
 
 from __future__ import annotations
@@ -118,19 +117,27 @@ Instance = VectorInstance | UniformInstance
 
 
 class _Workspace:
-    """Points, their completion kernel, and the lazy pair-mask cache."""
+    """Points, their completion kernel, and _keep[p][a] = ~completions(a, p)."""
 
     def __init__(self, instance: Instance):
         self.points = instance.points()
         self.kernel = CompletionKernel(instance.features(self.points))
-        self._pair_cache: dict[tuple[int, int], int] = {}
+        self._keep: list[list[int | None] | None] = [None] * len(self.points)
+
+    def narrow(self, cands: int, chosen: Sequence[int], p: int) -> int:
+        """cands without the completions of (a, p) for each chosen a < p."""
+        row = self._keep[p]
+        if row is None:
+            row = self._keep[p] = [None] * p
+        for a in chosen:
+            keep = row[a]
+            if keep is None:
+                keep = row[a] = ~self.kernel.completions(a, p)
+            cands &= keep
+        return cands
 
     def pair_mask(self, i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        mask = self._pair_cache.get(key)
-        if mask is None:
-            mask = self._pair_cache[key] = self.kernel.completions(*key)
-        return mask
+        return ~self.narrow(-1, (min(i, j),), max(i, j))
 
 
 class _Engine:
@@ -173,45 +180,49 @@ class _Engine:
 
     def run(self, chosen: list[int], cands: int) -> bool:
         """DFS from a start state; True when exhausted within budget."""
-        weights, pair_mask, deadline = self.weights, self.ws.pair_mask, self.deadline
+        weights, narrow, deadline = self.weights, self.ws.narrow, self.deadline
+        max_nodes, nodes, prunes = self.max_nodes, self.nodes, self.prunes
+        best_value = self.best_value
         chosen = list(chosen)
         acc = self._acc(chosen)
         stack: list[tuple[int, int]] = []
-        while True:
-            self.nodes += 1
-            if self.nodes > self.max_nodes:
-                return False
-            if deadline is not None and self.nodes % _TIME_CHECK_STRIDE == 0:
-                if time.monotonic() > deadline:
+        try:
+            while True:
+                nodes += 1
+                if nodes > max_nodes:
                     return False
-            value = acc.bit_count()
-            if value > self.best_value:
-                self.best_value = value
-                self.best = list(chosen)
-            if cands:
-                if weights is None:
-                    bound = acc | cands
-                else:
-                    bound, rest = acc, cands
-                    while rest:
-                        bound |= weights[(rest & -rest).bit_length() - 1]
-                        rest &= rest - 1
-                if bound.bit_count() <= self.best_value:
-                    self.prunes += 1
-                else:
-                    low = cands & -cands
-                    p = low.bit_length() - 1
-                    cands ^= low
-                    stack.append((cands, acc))
-                    for a in chosen:
-                        cands &= ~pair_mask(a, p)
-                    chosen.append(p)
-                    acc |= low if weights is None else weights[p]
-                    continue
-            if not stack:
-                return True
-            cands, acc = stack.pop()
-            chosen.pop()
+                if deadline is not None and nodes % _TIME_CHECK_STRIDE == 0:
+                    if time.monotonic() > deadline:
+                        return False
+                value = acc.bit_count()
+                if value > best_value:
+                    best_value = value
+                    self.best = list(chosen)
+                if cands:
+                    if weights is None:
+                        bound = acc | cands
+                    else:
+                        bound, rest = acc, cands
+                        while rest:
+                            bound |= weights[(rest & -rest).bit_length() - 1]
+                            rest &= rest - 1
+                    if bound.bit_count() <= best_value:
+                        prunes += 1
+                    else:
+                        low = cands & -cands
+                        p = low.bit_length() - 1
+                        cands ^= low
+                        stack.append((cands, acc))
+                        cands = narrow(cands, chosen, p)
+                        chosen.append(p)
+                        acc |= low if weights is None else weights[p]
+                        continue
+                if not stack:
+                    return True
+                cands, acc = stack.pop()
+                chosen.pop()
+        finally:
+            self.nodes, self.prunes, self.best_value = nodes, prunes, best_value
 
 
 @dataclass(frozen=True)
@@ -245,8 +256,7 @@ class SearchResult:
 
 def greedy_lower_bound(instance: Instance) -> list[int]:
     """Lexicographically first maximal family, as point indices."""
-    ws = _Workspace(instance)
-    return _greedy(ws)
+    return _greedy(_Workspace(instance))
 
 
 def _greedy(ws: _Workspace) -> list[int]:
@@ -254,9 +264,7 @@ def _greedy(ws: _Workspace) -> list[int]:
     cands = ws.kernel.full
     while cands:
         p = (cands & -cands).bit_length() - 1
-        cands &= cands - 1
-        for a in chosen:
-            cands &= ~ws.pair_mask(a, p)
+        cands = ws.narrow(cands & cands - 1, chosen, p)
         chosen.append(p)
     return chosen
 

@@ -55,6 +55,15 @@ def brute_find_sunflower_vectors(members):
     return None
 
 
+def brute_find_ap_triple(members, moduli):
+    """First (i, j, l), i < j < l, with m_i + m_l = 2 m_j in every coordinate."""
+    for i, j, l in itertools.combinations(range(len(members)), 3):
+        x, y, z = members[i], members[j], members[l]
+        if all((a + c - 2 * b) % d == 0 for a, b, c, d in zip(x, y, z, moduli)):
+            return (i, j, l)
+    return None
+
+
 # ---------------------------------------------------------------- exhaustive extremal search
 
 

@@ -22,6 +22,7 @@ from sunflower import (
     parse_set_family,
     scan_to_csv,
 )
+from sunflower.search import _TIME_CHECK_STRIDE
 
 
 class TestMaxUnion:
@@ -80,6 +81,13 @@ class TestMaxUnion:
         assert rep.nodes_explored == 51
         assert brute_find_sunflower_sets(rep.witness) is None
         assert len(set().union(*rep.witness)) == rep.max_union
+
+    def test_deadline_exit_reports_the_engine_counters(self):
+        rep = max_union(2, 11, time_limit=0.05)
+        assert not rep.optimal
+        assert rep.nodes_explored > 0
+        assert rep.nodes_explored % _TIME_CHECK_STRIDE == 0
+        assert brute_find_sunflower_sets(rep.witness) is None
 
 
 class TestCoverCount:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import (
+    brute_find_ap_triple,
     brute_find_sunflower_sets,
     brute_find_sunflower_vectors,
     brute_is_sunflower_sets,
@@ -244,6 +245,24 @@ def test_property_kernel_completions_match_definitional(members):
             and brute_is_sunflower_sets((members[i], members[j], members[l]))
         )
         assert kernel.completions(i, j) == expected
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_property_ap_triple_matches_brute_force(data):
+    # even moduli make the pair's third term equal to its first member
+    n = data.draw(st.integers(1, 3))
+    moduli = tuple(data.draw(st.sampled_from((2, 3, 4, 5, 7))) for _ in range(n))
+    members = data.draw(
+        st.lists(
+            st.tuples(*(st.integers(0, d - 1) for d in moduli)),
+            min_size=0,
+            max_size=12,
+            unique=True,
+        )
+    )
+    f = VectorFamily(ModulusVector(moduli), tuple(members))
+    assert find_ap_triple(f) == brute_find_ap_triple(members, moduli)
 
 
 @given(st.data())

@@ -35,7 +35,7 @@ from sunflower import (
     verify_family,
     verify_family_points,
 )
-from sunflower.search import _Engine, _Workspace
+from sunflower.search import _TIME_CHECK_STRIDE, _Engine, _Workspace, _greedy
 
 
 class TestKnownMaxima:
@@ -119,8 +119,8 @@ class TestSearchMechanics:
 
     def test_engine_depth_is_not_bounded_by_the_recursion_limit(self):
         class NoCompletions:  # as in Z2^n, where no triple is a sunflower
-            def pair_mask(self, i, j):
-                return 0
+            def narrow(self, cands, chosen, p):
+                return cands
 
         points = sys.getrecursionlimit() + 200
         engine = _Engine(NoCompletions(), max_nodes=points + 300, time_limit=None)
@@ -128,6 +128,13 @@ class TestSearchMechanics:
         assert engine.run([], (1 << points) - 1) is False
         assert engine.nodes == points + 301
         assert engine.best == list(range(points))
+
+    def test_deadline_exit_reports_the_engine_counters(self):
+        r = max_sunflower_free_vectors((3, 3, 3, 3), time_limit=0.05)
+        assert not r.optimal
+        assert r.nodes_explored > 0
+        assert r.nodes_explored % _TIME_CHECK_STRIDE == 0
+        assert r.maximum >= r.stats["greedy_size"]
 
     def test_nodes_deterministic_across_thread_settings(self):
         a = max_sunflower_free_uniform(2, 6, threads=1)
@@ -333,8 +340,8 @@ class TestPairMasks:
     """Every pair's completion mask, pinned to a definitional brute force."""
 
     @staticmethod
-    def assert_masks_match(inst, is_sunflower):
-        ws = _Workspace(inst)
+    def assert_masks_match(inst, is_sunflower, ws=None):
+        ws = ws or _Workspace(inst)
         pts = inst.points()
         for i, j in itertools.combinations(range(len(pts)), 2):
             expected = sum(
@@ -344,6 +351,17 @@ class TestPairMasks:
             )
             assert ws.pair_mask(i, j) == expected, (pts[i], pts[j])
             assert ws.pair_mask(j, i) == expected
+
+    @pytest.mark.parametrize("moduli", [(3, 3, 3), (2, 2, 3)])
+    def test_masks_after_greedy_and_search_fills(self, moduli):
+        # greedy and the engine fill slots first; pair_mask must read them back
+        inst = VectorInstance(as_modulus_vector(moduli))
+        ws = _Workspace(inst)
+        chosen = _greedy(ws)
+        engine = _Engine(ws, 200, None)
+        engine.seed(chosen)
+        engine.run([], ws.kernel.full)
+        self.assert_masks_match(inst, brute_is_sunflower_vectors, ws)
 
     @pytest.mark.parametrize("moduli", [(2, 3), (3, 4), (2, 2, 3), (3, 3, 3)])
     def test_vector_instances(self, moduli):
