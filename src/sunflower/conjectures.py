@@ -104,9 +104,10 @@ def max_union(
     if comb(m, k) > point_ceiling:
         raise TooLarge(f"C({m},{k}) exceeds the point ceiling {point_ceiling}")
     started = time.perf_counter()
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     ws = _Workspace(UniformInstance(k, m))
     # a k-subset's features are its elements, so its kernel row is its bitset
-    engine = _Engine(ws, max_nodes, time_limit, weights=ws.kernel.rows)
+    engine = _Engine(ws, max_nodes, deadline, weights=ws.kernel.rows)
     optimal = engine.run([], ws.kernel.full)
 
     witness = tuple(ws.points[i] for i in engine.best)

@@ -13,13 +13,13 @@ search's completion table (search._Workspace) and CNF export all use it.
 
 Searches scan index combinations in lexicographic order, so the witness
 returned is always the lexicographically smallest one.  The definitional
-scans (find_sunflower_sets, find_sunflower_vectors_naive) are the reference
-the tests check the kernel against and the path that verifies search answers.
+scans, find_sunflower_sets and the pair-lookup find_sunflower_vectors_lookup,
+read no feature bitset; they are the path that verifies search answers.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from typing import Collection, Sequence
 
 from .errors import BadArity, TooLarge
@@ -32,10 +32,7 @@ GENERAL_T_MEMBER_CAP = 64
 def kernel_of(sets: Sequence[frozenset]) -> frozenset:
     if not sets:
         raise BadArity("kernel of zero sets is undefined")
-    out = set(sets[0])
-    for s in sets[1:]:
-        out &= s
-    return frozenset(out)
+    return frozenset(sets[0]).intersection(*sets[1:])
 
 
 def is_sunflower_sets(sets: Sequence[frozenset]) -> bool:
@@ -43,16 +40,10 @@ def is_sunflower_sets(sets: Sequence[frozenset]) -> bool:
     if len(sets) < 2:
         raise BadArity("a sunflower needs at least two sets")
     sets = [frozenset(s) for s in sets]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i] == sets[j]:
-                raise BadArity("sunflower petals must be distinct sets")
+    if len(set(sets)) != len(sets):
+        raise BadArity("sunflower petals must be distinct sets")
     kernel = kernel_of(sets)
-    return all(
-        sets[i] & sets[j] == kernel
-        for i in range(len(sets))
-        for j in range(i + 1, len(sets))
-    )
+    return all(a & b == kernel for a, b in combinations(sets, 2))
 
 
 def find_sunflower_sets(family: SetFamily, t: int = 3) -> SunflowerWitness | None:
@@ -71,11 +62,7 @@ def find_sunflower_sets(family: SetFamily, t: int = 3) -> SunflowerWitness | Non
     for idx in combinations(range(len(members)), t):
         chosen = [members[i] for i in idx]
         kernel = kernel_of(chosen)
-        if all(
-            chosen[a] & chosen[b] == kernel
-            for a in range(t)
-            for b in range(a + 1, t)
-        ):
+        if all(a & b == kernel for a, b in combinations(chosen, 2)):
             return SunflowerWitness(idx, kernel=kernel)
     return None
 
@@ -171,16 +158,8 @@ def witness_holds(family: SetFamily, witness: SunflowerWitness, t: int | None = 
 
 def coordinate_classes(x: Sequence[int], y: Sequence[int], z: Sequence[int]) -> tuple[str, ...]:
     """Per-coordinate tag: 'all-equal', 'all-distinct', or 'two-equal'."""
-    tags = []
-    for a, b, c in zip(x, y, z):
-        distinct = len({a, b, c})
-        if distinct == 1:
-            tags.append("all-equal")
-        elif distinct == 3:
-            tags.append("all-distinct")
-        else:
-            tags.append("two-equal")
-    return tuple(tags)
+    tags = ("all-equal", "two-equal", "all-distinct")  # by count of distinct values
+    return tuple(tags[len({a, b, c}) - 1] for a, b, c in zip(x, y, z))
 
 
 def is_sunflower_vectors(
@@ -196,7 +175,7 @@ def is_sunflower_vectors(
 
 
 def find_sunflower_vectors(family: VectorFamily) -> SunflowerWitness | None:
-    """Kernel scan; agrees with find_sunflower_vectors_naive (lex-first witness)."""
+    """Kernel scan; agrees with find_sunflower_vectors_lookup (lex-first witness)."""
     members = family.members
     hit = CompletionKernel(vector_features(family.moduli, members)).first_triple()
     if hit is None:
@@ -205,12 +184,31 @@ def find_sunflower_vectors(family: VectorFamily) -> SunflowerWitness | None:
     return SunflowerWitness(hit, coordinate_classes=coordinate_classes(*triple))
 
 
-def find_sunflower_vectors_naive(family: VectorFamily) -> SunflowerWitness | None:
-    """Definitional triple scan in index-lexicographic order, or None."""
-    for idx in combinations(range(len(family.members)), 3):
-        triple = [family.members[i] for i in idx]
-        if is_sunflower_vectors(*triple):
-            return SunflowerWitness(idx, coordinate_classes=coordinate_classes(*triple))
+def find_sunflower_vectors_lookup(family: VectorFamily) -> SunflowerWitness | None:
+    """Definitional scan, quadratic when every modulus is at most 3; lex-first witness.
+
+    A pair (x, y) fixes every completing z: z_c = x_c where x and y agree, a
+    third value where they differ (none when D_c = 2).  Candidates are looked
+    up when they number no more than the members above j; else those are tested.
+    """
+    members, moduli = family.members, family.moduli
+    index = {m: l for l, m in enumerate(members)}
+    for (i, x), (j, y) in combinations(enumerate(members), 2):
+        count = 1
+        for a, b, d in zip(x, y, moduli):
+            if a != b and not (count := count * (d - 2)):
+                break  # a differing coordinate of modulus 2: no completion
+        if not count:
+            continue
+        if count <= len(members) - j - 1:
+            axes = [(a,) if a == b else set(range(d)) - {a, b} for a, b, d in zip(x, y, moduli)]
+            l = min((index[z] for z in product(*axes) if index.get(z, -1) > j), default=None)
+        else:
+            above = range(j + 1, len(members))
+            l = next((l for l in above if is_sunflower_vectors(x, y, members[l])), None)
+        if l is not None:
+            classes = coordinate_classes(x, y, members[l])
+            return SunflowerWitness((i, j, l), coordinate_classes=classes)
     return None
 
 

@@ -15,7 +15,9 @@ family, and no maximum family is lex-smaller than it).
 Triple constraints live in a lazy table: row p, made when point p is first
 included, holds at each chosen a < p the complement of the completions of
 (a, p) (detect.CompletionKernel over the points' features).  Answers are
-verified with the definitional scans of detect, never with that kernel.
+verified with the definitional scans of detect (for vectors the pair lookup,
+quadratic when every modulus is at most 3), never with that kernel.
+time_limit is one deadline, set at call start, for greedy and the engine.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import combinations, product
 from typing import Mapping, Sequence
 
 from . import bounds as _bounds
-from .detect import CompletionKernel, find_sunflower_sets, find_sunflower_vectors_naive
+from .detect import CompletionKernel, find_sunflower_sets, find_sunflower_vectors_lookup
 from .detect import vector_features
 from .errors import DomainError, SunflowerError, TooLarge
 from .model import (
@@ -156,13 +158,13 @@ class _Engine:
         self,
         ws: _Workspace,
         max_nodes: int,
-        time_limit: float | None,
+        deadline: float | None,
         weights: Sequence[int] | None = None,
     ):
         self.ws = ws
         self.weights = weights
         self.max_nodes = max_nodes
-        self.deadline = None if time_limit is None else time.monotonic() + time_limit
+        self.deadline = deadline
         self.nodes = 0
         self.prunes = 0
         self.best: list[int] = []
@@ -188,12 +190,12 @@ class _Engine:
         stack: list[tuple[int, int]] = []
         try:
             while True:
+                if deadline is not None and nodes % _TIME_CHECK_STRIDE == 0:
+                    if time.monotonic() > deadline:  # also before the first node
+                        return False
                 nodes += 1
                 if nodes > max_nodes:
                     return False
-                if deadline is not None and nodes % _TIME_CHECK_STRIDE == 0:
-                    if time.monotonic() > deadline:
-                        return False
                 value = acc.bit_count()
                 if value > best_value:
                     best_value = value
@@ -259,10 +261,10 @@ def greedy_lower_bound(instance: Instance) -> list[int]:
     return _greedy(_Workspace(instance))
 
 
-def _greedy(ws: _Workspace) -> list[int]:
+def _greedy(ws: _Workspace, deadline: float | None = None) -> list[int]:
     chosen: list[int] = []
     cands = ws.kernel.full
-    while cands:
+    while cands and (deadline is None or time.monotonic() <= deadline):
         p = (cands & -cands).bit_length() - 1
         cands = ws.narrow(cands & cands - 1, chosen, p)
         chosen.append(p)
@@ -280,16 +282,15 @@ def _run_search(
     if count > point_ceiling:
         raise TooLarge(f"instance has {count} points, ceiling is {point_ceiling}")
     started = time.perf_counter()
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     ws = _Workspace(instance)
-    greedy = _greedy(ws)
+    greedy = _greedy(ws, deadline)
 
-    search = _Engine(ws, max_nodes, time_limit)
+    search = _Engine(ws, max_nodes, deadline)
     search.seed(greedy)
     anchored = anchor and instance.supports_anchor()
-    if anchored:
-        # sound per the translation argument on VectorInstance
-        narrowed = ws.kernel.full & ~1
-        optimal = search.run([0], narrowed)
+    if anchored:  # sound per the translation argument on VectorInstance
+        optimal = search.run([0], ws.kernel.full & ~1)
     else:
         optimal = search.run([], ws.kernel.full)
 
@@ -392,11 +393,11 @@ def verify_family_points(
 ) -> tuple[bool, SunflowerWitness | None]:
     """Sunflower-freeness of explicit points; smallest witness when violated.
 
-    Uses the definitional scans, independent of the kernel behind the search.
+    Uses the definitional scans (vectors: pair lookup), not the search's kernel.
     """
     if isinstance(instance, VectorInstance):
         fam = VectorFamily(instance.moduli, tuple(points))
-        witness = find_sunflower_vectors_naive(fam)
+        witness = find_sunflower_vectors_lookup(fam)
     else:
         for p in points:
             if len(p) != instance.k or not all(0 <= e < instance.m for e in p):

@@ -89,6 +89,11 @@ class TestMaxUnion:
         assert rep.nodes_explored % _TIME_CHECK_STRIDE == 0
         assert brute_find_sunflower_sets(rep.witness) is None
 
+    def test_expired_deadline_still_returns_a_free_witness(self):
+        rep = max_union(2, 11, time_limit=0)
+        assert not rep.optimal and rep.nodes_explored == 0
+        assert brute_find_sunflower_sets(rep.witness) is None
+
 
 class TestCoverCount:
     def test_triangle(self):

@@ -37,7 +37,8 @@ from sunflower import (
     parse_vector_family,
     witness_holds,
 )
-from sunflower.detect import CompletionKernel
+from sunflower import detect
+from sunflower.detect import CompletionKernel, find_sunflower_vectors_lookup
 
 
 def fam(text: str) -> SetFamily:
@@ -116,6 +117,7 @@ class TestFindSets:
 class TestVectorPredicates:
     def test_coordinate_classes(self):
         assert coordinate_classes((0, 0), (0, 1), (0, 2)) == ("all-equal", "all-distinct")
+        assert coordinate_classes((1,), (0,), (1,)) == ("two-equal",)
 
     def test_two_equal_coordinate_blocks(self):
         assert not is_sunflower_vectors((0, 0), (0, 1), (1, 2))
@@ -137,6 +139,42 @@ class TestVectorPredicates:
     def test_find_none_on_free_family(self):
         f = parse_vector_family("0,0\n0,1\n1,0\n", (3, 3))
         assert find_sunflower_vectors(f) is None
+
+
+class TestLookupScan:
+    """find_sunflower_vectors_lookup enumerates a pair's completions when
+    they are no more than the members above j, else tests those members."""
+
+    @staticmethod
+    def spy_on_predicate(monkeypatch) -> list:
+        calls = []
+        real = detect.is_sunflower_vectors
+
+        def spy(x, y, z):
+            calls.append((x, y, z))
+            return real(x, y, z)
+
+        monkeypatch.setattr(detect, "is_sunflower_vectors", spy)
+        return calls
+
+    def test_scan_branch_when_candidates_outnumber_members(self, monkeypatch):
+        # the first pair differs everywhere: 5^4 = 625 candidates, 2 members left
+        members = ((0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 0, 1), (2, 3, 4, 5))
+        calls = self.spy_on_predicate(monkeypatch)
+        w = find_sunflower_vectors_lookup(VectorFamily(ModulusVector((7,) * 4), members))
+        assert w.indices == (0, 1, 3) == brute_find_sunflower_vectors(members)
+        assert w.coordinate_classes == ("all-distinct",) * 4
+        assert calls == [(members[0], members[1], members[2]), (members[0], members[1], members[3])]
+
+    def test_enumerate_branch_takes_the_least_index_above_j(self, monkeypatch):
+        # (0,0),(1,1) has 4 candidates and 4 members above it; three of them
+        # complete the pair, and the least index is enumerated third
+        members = ((0, 0), (1, 1), (3, 2), (0, 1), (2, 3), (2, 2))
+        calls = self.spy_on_predicate(monkeypatch)
+        w = find_sunflower_vectors_lookup(VectorFamily(ModulusVector((4, 4)), members))
+        assert w.indices == (0, 1, 2) == brute_find_sunflower_vectors(members)
+        assert w.coordinate_classes == ("all-distinct", "all-distinct")
+        assert calls == []
 
 
 class TestApTriples:
@@ -263,6 +301,37 @@ def test_property_ap_triple_matches_brute_force(data):
     )
     f = VectorFamily(ModulusVector(moduli), tuple(members))
     assert find_ap_triple(f) == brute_find_ap_triple(members, moduli)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_property_lookup_scan_matches_brute_force(data):
+    n = data.draw(st.integers(1, 4))
+    moduli = tuple(data.draw(st.sampled_from((2, 3, 4, 5, 7))) for _ in range(n))
+    members = data.draw(
+        st.lists(
+            st.tuples(*(st.integers(0, d - 1) for d in moduli)),
+            min_size=0,
+            max_size=14,
+            unique=True,
+        )
+    )
+    if len(members) >= 2 and data.draw(st.booleans()):
+        # plant a completion of the first two members at a drawn position
+        x, y = members[0], members[1]
+        if all(a == b or d > 2 for a, b, d in zip(x, y, moduli)):
+            z = tuple(
+                a if a == b else data.draw(st.sampled_from([v for v in range(d) if v not in (a, b)]))
+                for a, b, d in zip(x, y, moduli)
+            )
+            if z not in members:
+                members.insert(data.draw(st.integers(0, len(members))), z)
+    w = find_sunflower_vectors_lookup(VectorFamily(ModulusVector(moduli), tuple(members)))
+    ref = brute_find_sunflower_vectors(members)
+    assert (w is None) == (ref is None)
+    if w is not None:
+        assert w.indices == ref
+        assert w.coordinate_classes == coordinate_classes(*(members[i] for i in ref))
 
 
 @given(st.data())

@@ -2,6 +2,7 @@ import itertools
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,8 @@ from sunflower import (
     verify_family,
     verify_family_points,
 )
+from sunflower import search
+from sunflower.detect import CompletionKernel
 from sunflower.search import _TIME_CHECK_STRIDE, _Engine, _Workspace, _greedy
 
 
@@ -123,7 +126,7 @@ class TestSearchMechanics:
                 return cands
 
         points = sys.getrecursionlimit() + 200
-        engine = _Engine(NoCompletions(), max_nodes=points + 300, time_limit=None)
+        engine = _Engine(NoCompletions(), max_nodes=points + 300, deadline=None)
         # the include-only path is `points` deep before any budget cut
         assert engine.run([], (1 << points) - 1) is False
         assert engine.nodes == points + 301
@@ -135,6 +138,21 @@ class TestSearchMechanics:
         assert r.nodes_explored > 0
         assert r.nodes_explored % _TIME_CHECK_STRIDE == 0
         assert r.maximum >= r.stats["greedy_size"]
+
+    def test_time_limit_covers_greedy(self):
+        # unbudgeted, greedy alone takes seconds and picks 1,024 points
+        r = max_sunflower_free_vectors((2,) * 9 + (3,), time_limit=0)
+        assert not r.optimal and r.nodes_explored == 0
+        assert r.stats["greedy_size"] < 1024
+        inst = VectorInstance(as_modulus_vector((2,) * 9 + (3,)))
+        assert verify_family_points(inst, r.witness_points) == (True, None)
+
+    def test_greedy_past_its_deadline_returns_its_prefix(self, monkeypatch):
+        ws = _Workspace(VectorInstance(as_modulus_vector((3, 3, 3))))
+        full = _greedy(ws)
+        ticks = itertools.count()  # one tick per clock read
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=ticks.__next__))
+        assert _greedy(ws, deadline=3.5) == full[:4]
 
     def test_nodes_deterministic_across_thread_settings(self):
         a = max_sunflower_free_uniform(2, 6, threads=1)
@@ -177,6 +195,26 @@ class TestVerify:
         ok, witness = verify_family_points(inst, ((0,), (1,), (2,)))
         assert not ok
         assert witness.indices == (0, 1, 2)
+
+    def test_all_of_z2_to_the_8_is_free(self):
+        inst = VectorInstance(as_modulus_vector((2,) * 8))
+        assert verify_family_points(inst, inst.points()) == (True, None)
+        r = max_sunflower_free_vectors((2,) * 8, time_limit=1)
+        assert r.maximum == 256 and r.optimal
+
+    def test_independent_of_the_completion_kernel(self, monkeypatch):
+        def refuse(self, i, j):
+            raise AssertionError("verification read the search kernel")
+
+        monkeypatch.setattr(CompletionKernel, "completions", refuse)
+        vectors = VectorInstance(as_modulus_vector((3, 3)))
+        assert verify_family_points(vectors, ((0, 0), (0, 1), (1, 0), (1, 1))) == (True, None)
+        ok, witness = verify_family_points(vectors, ((0, 0), (0, 1), (1, 1), (2, 2)))
+        assert not ok and witness.indices == (0, 2, 3)
+        uniform = UniformInstance(2, 4)
+        assert verify_family_points(uniform, ((0, 1), (1, 2), (0, 2))) == (True, None)
+        ok, witness = verify_family_points(uniform, ((0, 1), (0, 2), (1, 2), (0, 3)))
+        assert not ok and witness.indices == (0, 1, 3)
 
     def test_type_mismatch(self):
         inst = UniformInstance(2, 4)
