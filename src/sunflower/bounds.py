@@ -268,6 +268,11 @@ def eg_vector_bound(q: int, n: int) -> ApproxValue:
     )
 
 
+def _approx_report(name: str, parameters: dict, out: ApproxValue) -> BoundReport:
+    """A FLOAT_APPROX report carrying an ApproxValue's value and radius."""
+    return BoundReport(name, parameters, out.value, FLOAT_APPROX, radius=out.radius)
+
+
 def crt_bound(
     m: int,
     n: int,
@@ -297,14 +302,7 @@ def crt_bound(
             res = j_constant(q)
             log_terms.append(n * math.log(res.j_value))
             extra_rel += n * res.error_radius / res.j_value
-        out = _exp_with_radius(log_terms, extra_rel=extra_rel)
-        return BoundReport(
-            name="crt-product",
-            parameters=params,
-            value=out.value,
-            exactness=FLOAT_APPROX,
-            radius=out.radius,
-        )
+        return _approx_report("crt-product", params, _exp_with_radius(log_terms, extra_rel))
     if mode == "recursive":
         if factor_bounds is None:
             raise DomainError("recursive mode needs per-factor bounds")
@@ -399,13 +397,7 @@ def main_bound(k: int, M: int) -> BoundReport:
             ck * math.log(a),
         ]
     )
-    return BoundReport(
-        name="main-bound",
-        parameters=params,
-        value=out.value,
-        exactness=FLOAT_APPROX,
-        radius=out.radius,
-    )
+    return _approx_report("main-bound", params, out)
 
 
 def corollary_bound(k: int, epsilon: float) -> BoundReport:
@@ -427,14 +419,8 @@ def corollary_bound(k: int, epsilon: float) -> BoundReport:
     ]
     if k > 1:  # epsilon < 1.5 forces expo >= 1; k = 1 contributes log 1 = 0
         terms.append(expo * math.log(k))
-    out = _exp_with_radius(terms)
-    return BoundReport(
-        name="corollary-bound",
-        parameters={"k": k, "epsilon": epsilon, "exponent": expo},
-        value=out.value,
-        exactness=FLOAT_APPROX,
-        radius=out.radius,
-    )
+    params = {"k": k, "epsilon": epsilon, "exponent": expo}
+    return _approx_report("corollary-bound", params, _exp_with_radius(terms))
 
 
 def compare_bounds(moduli=None, k: int | None = None, M: int | None = None) -> list[BoundReport]:
@@ -478,26 +464,10 @@ def _compare_vector_bounds(mv: ModulusVector) -> list[BoundReport]:
         d = distinct.pop()
         if d > 2:
             nsv = ns_vector_bound(d, mv.n)
-            reports.append(
-                BoundReport(
-                    name="ns-vector",
-                    parameters={"D": d, "n": mv.n},
-                    value=nsv.value,
-                    exactness=FLOAT_APPROX,
-                    radius=nsv.radius,
-                )
-            )
+            reports.append(_approx_report("ns-vector", {"D": d, "n": mv.n}, nsv))
             if factorize(d).is_prime_power:
                 eg = eg_vector_bound(d, mv.n)
-                reports.append(
-                    BoundReport(
-                        name="eg-vector",
-                        parameters={"q": d, "n": mv.n},
-                        value=eg.value,
-                        exactness=FLOAT_APPROX,
-                        radius=eg.radius,
-                    )
-                )
+                reports.append(_approx_report("eg-vector", {"q": d, "n": mv.n}, eg))
     reports.sort(key=lambda r: (r.numeric(), r.name))
     return reports
 

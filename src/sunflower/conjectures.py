@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Mapping, Sequence
 
-from .detect import bitset, find_sunflower_sets
+from .detect import CompletionKernel, bitset, find_sunflower_sets
 from .errors import DomainError, SunflowerError, TooLarge
 from .model import EXACT_INT, SetFamily
 from .search import (
@@ -23,7 +23,6 @@ from .search import (
     DEFAULT_POINT_CEILING,
     UniformInstance,
     _Engine,
-    _Workspace,
 )
 
 COVER_MEMBER_CEILING = 30
@@ -105,12 +104,13 @@ def max_union(
         raise TooLarge(f"C({m},{k}) exceeds the point ceiling {point_ceiling}")
     started = time.perf_counter()
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    ws = _Workspace(UniformInstance(k, m))
+    points = UniformInstance(k, m).points()
     # a k-subset's features are its elements, so its kernel row is its bitset
-    engine = _Engine(ws, max_nodes, deadline, weights=ws.kernel.rows)
-    optimal = engine.run([], ws.kernel.full)
+    kernel = CompletionKernel(points)
+    engine = _Engine(kernel, max_nodes, deadline, weights=kernel.rows)
+    optimal = engine.run([], kernel.full)
 
-    witness = tuple(ws.points[i] for i in engine.best)
+    witness = tuple(points[i] for i in engine.best)
     family = SetFamily(tuple(frozenset(p) for p in witness))
     if find_sunflower_sets(family, 3) is not None:
         raise SunflowerError("internal error: union witness contains a sunflower")

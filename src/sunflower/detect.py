@@ -8,8 +8,10 @@ the triple; the failure mode is a coordinate where exactly two agree.  That
 is the set condition on the features x -> {(i, x_i)}, so CompletionKernel
 serves both: C closes a sunflower with (A, B) exactly when C contains A & B
 and misses A ^ B, so a pair's completions are the AND of per-feature member
-columns over A & B minus those over A ^ B.  The fast detectors, the exact
-search's completion table (search._Workspace) and CNF export all use it.
+columns over A & B minus those over A ^ B.  The kernel also keeps the exact
+search's lazy completion table (narrow) and yields every sunflower triple in
+lex order (triples): the fast detectors, the search engine, greedy, the
+union search and CNF export all use this one object.
 
 Searches scan index combinations in lexicographic order, so the witness
 returned is always the lexicographically smallest one.  The definitional
@@ -20,7 +22,7 @@ read no feature bitset; they are the path that verifies search answers.
 from __future__ import annotations
 
 from itertools import accumulate, combinations, product
-from typing import Collection, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .errors import BadArity, TooLarge
 from .model import SetFamily, SunflowerWitness, VectorFamily
@@ -71,7 +73,7 @@ def find_sunflower_sets_fast(family: SetFamily, t: int = 3) -> SunflowerWitness 
     """Kernel scan for 3-sunflowers; agrees with find_sunflower_sets(family, 3)."""
     if t != 3:
         raise BadArity("the fast path handles only t = 3")
-    hit = CompletionKernel(family.members).first_triple()
+    hit = next(CompletionKernel(family.members).triples(), None)
     if hit is None:
         return None
     i, j, _ = hit
@@ -103,7 +105,8 @@ class CompletionKernel:
 
     Members are kept as feature bitsets, and each feature as the bitset of
     the members holding it, so a pair costs O(|A| + |B|) big-int operations
-    whatever the member count.
+    whatever the member count.  _keep[p][a] = ~completions(a, p) is the
+    search's lazy table: row p is made when narrow first sees p.
     """
 
     def __init__(self, members: Sequence[Collection[int]]):
@@ -114,6 +117,7 @@ class CompletionKernel:
                 holders.setdefault(f, []).append(l)
         self.cols = {f: bitset(ls) for f, ls in holders.items()}
         self.full = (1 << len(self.rows)) - 1
+        self._keep: list[list[int | None] | None] = [None] * len(self.rows)
 
     def completions(self, i: int, j: int) -> int:
         """Members l other than i, j with (i, j, l) a 3-sunflower."""
@@ -130,25 +134,37 @@ class CompletionKernel:
             differ ^= low
         return keep & ~drop
 
-    def first_triple(self) -> tuple[int, int, int] | None:
-        """Lex-first sunflower: pairs in lex order, lowest completion above j."""
+    def narrow(self, cands: int, chosen: Sequence[int], p: int) -> int:
+        """cands without the completions of (a, p) for each chosen a < p."""
+        row = self._keep[p]
+        if row is None:
+            row = self._keep[p] = [None] * p
+        for a in chosen:
+            keep = row[a]
+            if keep is None:
+                keep = row[a] = ~self.completions(a, p)
+            cands &= keep
+        return cands
+
+    def triples(self) -> Iterator[tuple[int, int, int]]:
+        """Every sunflower (i, j, l), i < j < l, in lex order."""
         count = len(self.rows)
         for i in range(count):
             for j in range(i + 1, count):
                 above = self.completions(i, j) >> (j + 1)
-                if above:
-                    return i, j, j + (above & -above).bit_length()
-        return None
+                while above:
+                    low = above & -above
+                    yield i, j, j + low.bit_length()
+                    above ^= low
 
 
 def witness_holds(family: SetFamily, witness: SunflowerWitness, t: int | None = None) -> bool:
     """Re-check a set witness against its family."""
     if t is not None and len(witness.indices) != t:
         return False
-    try:
-        chosen = [family.members[i] for i in witness.indices]
-    except IndexError:
+    if not all(0 <= i < len(family.members) for i in witness.indices):
         return False
+    chosen = [family.members[i] for i in witness.indices]
     if len(chosen) < 2:
         return False
     if not is_sunflower_sets(chosen):
@@ -177,7 +193,7 @@ def is_sunflower_vectors(
 def find_sunflower_vectors(family: VectorFamily) -> SunflowerWitness | None:
     """Kernel scan; agrees with find_sunflower_vectors_lookup (lex-first witness)."""
     members = family.members
-    hit = CompletionKernel(vector_features(family.moduli, members)).first_triple()
+    hit = next(CompletionKernel(vector_features(family.moduli, members)).triples(), None)
     if hit is None:
         return None
     triple = [members[i] for i in hit]
@@ -185,23 +201,25 @@ def find_sunflower_vectors(family: VectorFamily) -> SunflowerWitness | None:
 
 
 def find_sunflower_vectors_lookup(family: VectorFamily) -> SunflowerWitness | None:
-    """Definitional scan, quadratic when every modulus is at most 3; lex-first witness.
+    """Definitional scan, quadratic when no column holds over 3 values; lex-first witness.
 
     A pair (x, y) fixes every completing z: z_c = x_c where x and y agree, a
-    third value where they differ (none when D_c = 2).  Candidates are looked
-    up when they number no more than the members above j; else those are tested.
+    third value where they differ, and only values present in column c of the
+    family can occur there.  Candidates are looked up when they number no
+    more than the members above j; else those are tested.
     """
-    members, moduli = family.members, family.moduli
+    members = family.members
     index = {m: l for l, m in enumerate(members)}
+    columns = [set(col) for col in zip(*members)]
     for (i, x), (j, y) in combinations(enumerate(members), 2):
         count = 1
-        for a, b, d in zip(x, y, moduli):
-            if a != b and not (count := count * (d - 2)):
-                break  # a differing coordinate of modulus 2: no completion
+        for a, b, col in zip(x, y, columns):
+            if a != b and not (count := count * (len(col) - 2)):
+                break  # a differing coordinate whose column holds only a, b
         if not count:
             continue
         if count <= len(members) - j - 1:
-            axes = [(a,) if a == b else set(range(d)) - {a, b} for a, b, d in zip(x, y, moduli)]
+            axes = [(a,) if a == b else col - {a, b} for a, b, col in zip(x, y, columns)]
             l = min((index[z] for z in product(*axes) if index.get(z, -1) > j), default=None)
         else:
             above = range(j + 1, len(members))

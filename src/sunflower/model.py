@@ -285,6 +285,8 @@ class SunflowerWitness:
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         if len(set(self.indices)) != len(self.indices):
             raise BadArity("witness indices must be distinct")
+        if any(i < 0 for i in self.indices):
+            raise BadArity("witness indices must be non-negative")
         if self.kernel is not None:
             object.__setattr__(self, "kernel", frozenset(self.kernel))
 

@@ -264,13 +264,12 @@ def psi_map(h: SetFamily, p: PartiteStructure) -> VectorFamily:
     Moduli are padded to at least 3 per class so the product-group bounds
     downstream keep their hypotheses; padding only enlarges the codomain.
     """
+    _require_partite(h, p, "psi_map")
     supports = _class_supports(p)
     moduli = ModulusVector(tuple(max(3, len(s)) for s in supports))
     ranks = [{e: r for r, e in enumerate(s)} for s in supports]
     vectors = []
-    for idx, mem in enumerate(h.members):
-        if not p.is_transversal(mem):
-            raise NotPartite(f"psi_map: member {idx} is not transversal to the classes")
+    for mem in h.members:
         vec = [0] * p.k
         for e in mem:
             i = p.class_of[e]

@@ -12,11 +12,12 @@ the family returned is the lexicographically smallest maximum family
 (greedy seeding preserves this: the greedy family is the lex-first maximal
 family, and no maximum family is lex-smaller than it).
 
-Triple constraints live in a lazy table: row p, made when point p is first
-included, holds at each chosen a < p the complement of the completions of
-(a, p) (detect.CompletionKernel over the points' features).  Answers are
+Triple constraints live in the lazy table of detect.CompletionKernel, built
+over the points' features: row p, made when point p is first included,
+holds at each chosen a < p the complement of the completions of (a, p), and
+kernel.narrow is the one narrowing step of the engine and greedy.  Answers are
 verified with the definitional scans of detect (for vectors the pair lookup,
-quadratic when every modulus is at most 3), never with that kernel.
+quadratic when no column holds more than 3 values), never with that kernel.
 time_limit is one deadline, set at call start, for greedy and the engine.
 """
 
@@ -118,30 +119,6 @@ class UniformInstance:
 Instance = VectorInstance | UniformInstance
 
 
-class _Workspace:
-    """Points, their completion kernel, and _keep[p][a] = ~completions(a, p)."""
-
-    def __init__(self, instance: Instance):
-        self.points = instance.points()
-        self.kernel = CompletionKernel(instance.features(self.points))
-        self._keep: list[list[int | None] | None] = [None] * len(self.points)
-
-    def narrow(self, cands: int, chosen: Sequence[int], p: int) -> int:
-        """cands without the completions of (a, p) for each chosen a < p."""
-        row = self._keep[p]
-        if row is None:
-            row = self._keep[p] = [None] * p
-        for a in chosen:
-            keep = row[a]
-            if keep is None:
-                keep = row[a] = ~self.kernel.completions(a, p)
-            cands &= keep
-        return cands
-
-    def pair_mask(self, i: int, j: int) -> int:
-        return ~self.narrow(-1, (min(i, j),), max(i, j))
-
-
 class _Engine:
     """Include-first branch and bound on an explicit stack of resume frames.
 
@@ -156,12 +133,12 @@ class _Engine:
 
     def __init__(
         self,
-        ws: _Workspace,
+        kernel: CompletionKernel,
         max_nodes: int,
         deadline: float | None,
         weights: Sequence[int] | None = None,
     ):
-        self.ws = ws
+        self.kernel = kernel
         self.weights = weights
         self.max_nodes = max_nodes
         self.deadline = deadline
@@ -182,7 +159,7 @@ class _Engine:
 
     def run(self, chosen: list[int], cands: int) -> bool:
         """DFS from a start state; True when exhausted within budget."""
-        weights, narrow, deadline = self.weights, self.ws.narrow, self.deadline
+        weights, narrow, deadline = self.weights, self.kernel.narrow, self.deadline
         max_nodes, nodes, prunes = self.max_nodes, self.nodes, self.prunes
         best_value = self.best_value
         chosen = list(chosen)
@@ -258,15 +235,15 @@ class SearchResult:
 
 def greedy_lower_bound(instance: Instance) -> list[int]:
     """Lexicographically first maximal family, as point indices."""
-    return _greedy(_Workspace(instance))
+    return _greedy(CompletionKernel(instance.features(instance.points())))
 
 
-def _greedy(ws: _Workspace, deadline: float | None = None) -> list[int]:
+def _greedy(kernel: CompletionKernel, deadline: float | None = None) -> list[int]:
     chosen: list[int] = []
-    cands = ws.kernel.full
+    cands = kernel.full
     while cands and (deadline is None or time.monotonic() <= deadline):
         p = (cands & -cands).bit_length() - 1
-        cands = ws.narrow(cands & cands - 1, chosen, p)
+        cands = kernel.narrow(cands & cands - 1, chosen, p)
         chosen.append(p)
     return chosen
 
@@ -283,24 +260,25 @@ def _run_search(
         raise TooLarge(f"instance has {count} points, ceiling is {point_ceiling}")
     started = time.perf_counter()
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    ws = _Workspace(instance)
-    greedy = _greedy(ws, deadline)
+    points = instance.points()
+    kernel = CompletionKernel(instance.features(points))
+    greedy = _greedy(kernel, deadline)
 
-    search = _Engine(ws, max_nodes, deadline)
+    search = _Engine(kernel, max_nodes, deadline)
     search.seed(greedy)
     anchored = anchor and instance.supports_anchor()
     if anchored:  # sound per the translation argument on VectorInstance
-        optimal = search.run([0], ws.kernel.full & ~1)
+        optimal = search.run([0], kernel.full & ~1)
     else:
-        optimal = search.run([], ws.kernel.full)
+        optimal = search.run([], kernel.full)
 
     best = search.best
-    points = tuple(ws.points[i] for i in best)
+    witness_points = tuple(points[i] for i in best)
     result = SearchResult(
         instance=instance.describe(),
         maximum=len(best),
         witness_indices=tuple(best),
-        witness_points=points,
+        witness_points=witness_points,
         nodes_explored=search.nodes,
         optimal=optimal,
         elapsed=time.perf_counter() - started,
@@ -311,7 +289,7 @@ def _run_search(
         },
         bound_checks=_bound_checks(instance, len(best)) if optimal else (),
     )
-    ok, witness = verify_family_points(instance, points)
+    ok, witness = verify_family_points(instance, witness_points)
     if not ok:
         raise SunflowerError(
             f"internal error: witness fails verification at {witness.indices}"
@@ -460,14 +438,9 @@ def export_cnf(instance: Instance, size: int) -> CnfInstance:
     comments.extend(
         f"var {i + 1} = {instance.point_text(p)}" for i, p in enumerate(pts)
     )
-    clauses: list[tuple[int, ...]] = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            above = kernel.completions(i, j) >> (j + 1)
-            while above:
-                low = above & -above
-                clauses.append((-(i + 1), -(j + 1), -(j + 1 + low.bit_length())))
-                above ^= low
+    clauses: list[tuple[int, ...]] = [
+        (-(i + 1), -(j + 1), -(l + 1)) for i, j, l in kernel.triples()
+    ]
     comments.insert(3, f"sunflower triple clauses: {len(clauses)}")
 
     num_vars = len(pts)

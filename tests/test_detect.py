@@ -1,6 +1,7 @@
 import itertools
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from sunflower import (
     ModulusVector,
     SetFamily,
     SplitMix64,
+    SunflowerWitness,
     TooLarge,
     VectorFamily,
     coordinate_classes,
@@ -39,6 +41,7 @@ from sunflower import (
 )
 from sunflower import detect
 from sunflower.detect import CompletionKernel, find_sunflower_vectors_lookup
+from sunflower.search import VectorInstance, verify_family_points
 
 
 def fam(text: str) -> SetFamily:
@@ -113,6 +116,12 @@ class TestFindSets:
         bad = fam("1 2\n2 3\n1 3\n")
         assert not witness_holds(bad, w)
 
+    def test_witness_holds_rejects_indices_outside_the_family(self):
+        f = fam("1\n2\n3\n")
+        assert not witness_holds(f, SunflowerWitness((0, 1, 3)))
+        # a duck-typed witness skips the constructor's index checks
+        assert not witness_holds(f, SimpleNamespace(indices=(-1, 0, 1), kernel=None))
+
 
 class TestVectorPredicates:
     def test_coordinate_classes(self):
@@ -158,8 +167,9 @@ class TestLookupScan:
         return calls
 
     def test_scan_branch_when_candidates_outnumber_members(self, monkeypatch):
-        # the first pair differs everywhere: 5^4 = 625 candidates, 2 members left
-        members = ((0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 0, 1), (2, 3, 4, 5))
+        # the first pair differs everywhere and each column holds four values:
+        # 2^4 = 16 candidates, 3 members left
+        members = ((0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 0, 1), (2, 3, 4, 5), (3, 2, 5, 4))
         calls = self.spy_on_predicate(monkeypatch)
         w = find_sunflower_vectors_lookup(VectorFamily(ModulusVector((7,) * 4), members))
         assert w.indices == (0, 1, 3) == brute_find_sunflower_vectors(members)
@@ -174,6 +184,15 @@ class TestLookupScan:
         w = find_sunflower_vectors_lookup(VectorFamily(ModulusVector((4, 4)), members))
         assert w.indices == (0, 1, 2) == brute_find_sunflower_vectors(members)
         assert w.coordinate_classes == ("all-distinct", "all-distinct")
+        assert calls == []
+
+    def test_candidates_come_from_the_values_in_each_column(self, monkeypatch):
+        # every column holds only 0 and 1, so no pair that differs has a
+        # completion: nothing is enumerated and no member is tested
+        inst = VectorInstance(ModulusVector((7,) * 7))
+        points = list(itertools.product((0, 1), repeat=7))
+        calls = self.spy_on_predicate(monkeypatch)
+        assert verify_family_points(inst, points) == (True, None)
         assert calls == []
 
 

@@ -179,6 +179,10 @@ class TestSunflowerWitness:
         with pytest.raises(BadArity):
             SunflowerWitness(indices=(0, 0, 1), kernel=frozenset())
 
+    def test_negative_indices_rejected(self):
+        with pytest.raises(BadArity):
+            SunflowerWitness(indices=(-1, 0, 1))
+
     def test_json_uses_labels(self):
         fam = parse_set_family("5 9\n5 12\n5 14\n")
         w = SunflowerWitness(indices=(0, 1, 2), kernel=frozenset({0}))

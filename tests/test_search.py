@@ -38,7 +38,7 @@ from sunflower import (
 )
 from sunflower import search
 from sunflower.detect import CompletionKernel
-from sunflower.search import _TIME_CHECK_STRIDE, _Engine, _Workspace, _greedy
+from sunflower.search import _TIME_CHECK_STRIDE, _Engine, _greedy
 
 
 class TestKnownMaxima:
@@ -148,11 +148,12 @@ class TestSearchMechanics:
         assert verify_family_points(inst, r.witness_points) == (True, None)
 
     def test_greedy_past_its_deadline_returns_its_prefix(self, monkeypatch):
-        ws = _Workspace(VectorInstance(as_modulus_vector((3, 3, 3))))
-        full = _greedy(ws)
+        inst = VectorInstance(as_modulus_vector((3, 3, 3)))
+        kernel = CompletionKernel(inst.features(inst.points()))
+        full = _greedy(kernel)
         ticks = itertools.count()  # one tick per clock read
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=ticks.__next__))
-        assert _greedy(ws, deadline=3.5) == full[:4]
+        assert _greedy(kernel, deadline=3.5) == full[:4]
 
     def test_nodes_deterministic_across_thread_settings(self):
         a = max_sunflower_free_uniform(2, 6, threads=1)
@@ -378,28 +379,27 @@ class TestPairMasks:
     """Every pair's completion mask, pinned to a definitional brute force."""
 
     @staticmethod
-    def assert_masks_match(inst, is_sunflower, ws=None):
-        ws = ws or _Workspace(inst)
+    def assert_masks_match(inst, is_sunflower, kernel=None):
         pts = inst.points()
+        kernel = kernel or CompletionKernel(inst.features(pts))
         for i, j in itertools.combinations(range(len(pts)), 2):
             expected = sum(
                 1 << l
                 for l in range(len(pts))
                 if l not in (i, j) and is_sunflower(pts[i], pts[j], pts[l])
             )
-            assert ws.pair_mask(i, j) == expected, (pts[i], pts[j])
-            assert ws.pair_mask(j, i) == expected
+            assert ~kernel.narrow(-1, (i,), j) == expected, (pts[i], pts[j])
 
     @pytest.mark.parametrize("moduli", [(3, 3, 3), (2, 2, 3)])
     def test_masks_after_greedy_and_search_fills(self, moduli):
-        # greedy and the engine fill slots first; pair_mask must read them back
+        # greedy and the engine fill table slots first; narrow must read them back
         inst = VectorInstance(as_modulus_vector(moduli))
-        ws = _Workspace(inst)
-        chosen = _greedy(ws)
-        engine = _Engine(ws, 200, None)
+        kernel = CompletionKernel(inst.features(inst.points()))
+        chosen = _greedy(kernel)
+        engine = _Engine(kernel, 200, None)
         engine.seed(chosen)
-        engine.run([], ws.kernel.full)
-        self.assert_masks_match(inst, brute_is_sunflower_vectors, ws)
+        engine.run([], kernel.full)
+        self.assert_masks_match(inst, brute_is_sunflower_vectors, kernel)
 
     @pytest.mark.parametrize("moduli", [(2, 3), (3, 4), (2, 2, 3), (3, 3, 3)])
     def test_vector_instances(self, moduli):
