@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -301,10 +302,12 @@ def _cmd_cnf_export(args) -> int:
 
 
 def _cmd_cnf_check(args) -> int:
-    cnf = search_mod.export_cnf(_cnf_instance(args), args.size)
+    instance = _cnf_instance(args)
+    cnf = search_mod.export_cnf(instance, args.size)
+    anchored = replace(cnf, clauses=cnf.clauses + search_mod.anchor_clauses(instance, args.size))
     _emit(
         {
-            "satisfiable": search_mod.cnf_satisfiable(cnf),
+            "satisfiable": search_mod.cnf_satisfiable(anchored),
             "num_vars": cnf.num_vars,
             "num_clauses": len(cnf.clauses),
             "size": args.size,
@@ -407,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_vec.add_argument("--moduli", required=True)
     _search_common(s_vec)
     s_vec.add_argument("--no-anchor", action="store_true",
-                       help="disable the translation symmetry anchor")
+                       help="disable the symmetry anchor")
     s_vec.set_defaults(handler=_cmd_search_vectors)
 
     s_uni = ssubs.add_parser("uniform", help="maximum family of k-subsets of [m]",

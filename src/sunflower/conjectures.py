@@ -97,18 +97,22 @@ def max_union(
     Runs the search engine's union objective over the k-subsets in
     lexicographic order: a node's value is the size of the chosen members'
     union, and its bound is that union with every still-admissible member.
-    The witness is the lexicographically first family attaining the maximum,
+    Seeded with [point 0], it runs with search's two-point anchor.  The
+    witness is the first maximum family in tuple order (a prefix first),
     re-verified sunflower-free before reporting.
     """
     if comb(m, k) > point_ceiling:
         raise TooLarge(f"C({m},{k}) exceeds the point ceiling {point_ceiling}")
     started = time.perf_counter()
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    points = UniformInstance(k, m).points()
+    instance = UniformInstance(k, m)
+    points = instance.points()
     # a k-subset's features are its elements, so its kernel row is its bitset
     kernel = CompletionKernel(points)
     engine = _Engine(kernel, max_nodes, deadline, weights=kernel.rows)
-    optimal = engine.run([], kernel.full)
+    if points:  # the starts cover families of two or more members
+        engine.seed([0])
+    optimal = engine.run_anchored(instance.canonical_second_points())
 
     witness = tuple(points[i] for i in engine.best)
     family = SetFamily(tuple(frozenset(p) for p in witness))

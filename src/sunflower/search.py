@@ -10,7 +10,8 @@ between the two.  Two facts make the output canonical: improvement is
 strict, and a subtree is pruned only when it cannot beat the incumbent, so
 the family returned is the lexicographically smallest maximum family
 (greedy seeding preserves this: the greedy family is the lex-first maximal
-family, and no maximum family is lex-smaller than it).
+family, and no maximum family is lex-smaller than it).  An anchored search
+starts only from [0, c], c a canonical second point (see VectorInstance).
 
 Triple constraints live in the lazy table of detect.CompletionKernel, built
 over the points' features: row p, made when point p is first included,
@@ -26,7 +27,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
+from math import comb, prod
 from typing import Mapping, Sequence
 
 from . import bounds as _bounds
@@ -66,17 +68,34 @@ class VectorInstance:
     def point_text(self, point: tuple[int, ...]) -> str:
         return ",".join(str(c) for c in point)
 
-    # Translation anchor soundness: adding a fixed vector w coordinatewise
-    # (mod D_i) is a bijection on each Z_{D_i}, so it preserves every
-    # per-coordinate equality pattern among any three points; sunflower
-    # triples map to sunflower triples in both directions.  Translating a
-    # maximum family by the negation of any of its points yields a maximum
-    # family containing the all-zero point, and that translate starts with
-    # point index 0, so the lexicographically smallest maximum family
-    # always contains point 0.  Anchoring is therefore exact for every
-    # moduli vector, mixed or not.
-    def supports_anchor(self) -> bool:
-        return self.point_count() >= 1
+    # Two-point anchor soundness.  A triple is a sunflower unless some
+    # coordinate has exactly two equal values, so permuting the values of any
+    # coordinate, and coordinates of equal modulus, preserves sunflowers; on
+    # k-subsets any permutation of [m] does, and keeps union size.  c(x), for
+    # a point x != 0: for vectors every nonzero value becomes 1, then the 1s
+    # move to the last positions of each class of equal-modulus coordinates;
+    # for k-subsets, with t = |x & {0..k-1}|, c(x) = {0..t-1} | {k..2k-t-1}.
+    # 1. Some symmetry g fixes point 0 and maps x to c(x), and c(x) <= x in
+    #    point (lex) order.
+    # 2. The witness F* is the first optimal node in include-first preorder:
+    #    for family size the lex-smallest maximum family, for union size the
+    #    smallest in tuple order, where a prefix comes first.
+    # 3. F* contains point 0: translate (vectors) or permute (k-subsets) any
+    #    optimal family onto one that holds point 0, which comes first.  Let
+    #    x be its second element.
+    # 4. g(F*) is also optimal and contains 0.  Its second element is at
+    #    most c(x) <= x, so F* being first forces c(x) = x.
+    # So only starts [0, c], c canonical, can hold the witness, and the
+    # witness is unchanged.  Greedy seeding is unaffected.
+    def canonical_second_points(self) -> list[int]:
+        """Sorted indices of the points c(x), x != 0 (see above)."""
+        moduli = self.moduli.moduli
+        classes: dict[int, list[int]] = {}  # modulus -> strides of its coordinates
+        for i, d in enumerate(moduli):
+            classes.setdefault(d, []).append(prod(moduli[i + 1 :]))
+        # per class, the index offsets of 1s on its last r positions
+        tails = [list(accumulate(reversed(c), initial=0)) for c in classes.values()]
+        return sorted(map(sum, product(*tails)))[1:]
 
     def features(self, points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         return vector_features(self.moduli, points)
@@ -96,8 +115,6 @@ class UniformInstance:
             raise DomainError("m must be at least 1")
 
     def point_count(self) -> int:
-        from math import comb
-
         return comb(self.m, self.k)
 
     def points(self) -> list[tuple[int, ...]]:
@@ -109,8 +126,12 @@ class UniformInstance:
     def point_text(self, point: tuple[int, ...]) -> str:
         return "{" + ",".join(str(e) for e in point) + "}"
 
-    def supports_anchor(self) -> bool:
-        return False
+    def canonical_second_points(self) -> list[int]:
+        """Sorted indices of {0..t-1} | {k..2k-t-1}, 0 <= t < k (see VectorInstance)."""
+        k, m, top = self.k, self.m, self.point_count() - 1
+        subsets = ((*range(t), *range(k, 2 * k - t)) for t in range(max(0, 2 * k - m), k))
+        # lex rank of a sorted k-subset s: C(m, k) - 1 - sum_i C(m - 1 - s_i, k - i)
+        return sorted(top - sum(comb(m - 1 - e, k - i) for i, e in enumerate(s)) for s in subsets)
 
     def features(self, points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         return points
@@ -203,6 +224,11 @@ class _Engine:
         finally:
             self.nodes, self.prunes, self.best_value = nodes, prunes, best_value
 
+    def run_anchored(self, seconds: Sequence[int]) -> bool:
+        """Run from [0, c] for each c in order; True when every start is exhausted."""
+        full, narrow = self.kernel.full, self.kernel.narrow
+        return all(self.run([0, c], narrow(full >> (c + 1) << (c + 1), [0], c)) for c in seconds)
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -266,9 +292,9 @@ def _run_search(
 
     search = _Engine(kernel, max_nodes, deadline)
     search.seed(greedy)
-    anchored = anchor and instance.supports_anchor()
-    if anchored:  # sound per the translation argument on VectorInstance
-        optimal = search.run([0], kernel.full & ~1)
+    anchored = anchor and bool(points)
+    if anchored:  # exact per the two-point argument on VectorInstance
+        optimal = search.run_anchored(instance.canonical_second_points())
     else:
         optimal = search.run([], kernel.full)
 
@@ -363,7 +389,7 @@ def max_sunflower_free_uniform(
     ``threads`` is accepted for API compatibility and ignored.
     """
     instance = UniformInstance(k, m)
-    return _run_search(instance, max_nodes, time_limit, False, point_ceiling)
+    return _run_search(instance, max_nodes, time_limit, True, point_ceiling)
 
 
 def verify_family_points(
@@ -463,6 +489,19 @@ def export_cnf(instance: Instance, size: int) -> CnfInstance:
                     clauses.append((-aux(i, j), aux(i - 1, j), aux(i - 1, j - 1)))
         clauses.append((aux(p_count, size),))
     return CnfInstance(num_vars, tuple(clauses), tuple(comments))
+
+
+def anchor_clauses(instance: Instance, size: int) -> tuple[tuple[int, ...], ...]:
+    """Clauses that keep export_cnf(instance, size) satisfiable if it is.
+
+    x1, and for size >= 2 one clause over the canonical second points: a
+    free family maps onto one holding point 0, then, by a symmetry fixing
+    point 0, onto one holding a canonical second point (see VectorInstance).
+    """
+    if not instance.point_count():
+        return ()
+    seconds = tuple(c + 1 for c in instance.canonical_second_points())
+    return ((1,), seconds) if size >= 2 else ((1,),)
 
 
 def _describe_text(instance: Instance) -> str:

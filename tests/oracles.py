@@ -92,18 +92,25 @@ def brute_max_free(points, kind) -> tuple[int, tuple[int, ...]]:
 
 
 def brute_max_union(k, m) -> tuple[int, tuple[int, ...]]:
-    """Largest union over sunflower-free families of k-subsets of range(m)."""
+    """Largest union over sunflower-free families of k-subsets of range(m).
+
+    The family returned is the smallest attaining it in tuple order, where a
+    prefix comes first: the minimum over every free family, by enumeration.
+    """
     points = [frozenset(c) for c in itertools.combinations(range(m), k)]
-    best, best_idxs = 0, ()
     n = len(points)
-    for r in range(n + 1):
-        for idxs in itertools.combinations(range(n), r):
-            if not _free_sets(points, idxs):
-                continue
-            u = len(frozenset().union(*(points[i] for i in idxs))) if idxs else 0
-            if u > best:
-                best, best_idxs = u, idxs
-    return best, best_idxs
+    free = [
+        idxs
+        for r in range(n + 1)
+        for idxs in itertools.combinations(range(n), r)
+        if _free_sets(points, idxs)
+    ]
+
+    def union(idxs):
+        return len(frozenset().union(*(points[i] for i in idxs)))
+
+    best = max(map(union, free))
+    return best, min(idxs for idxs in free if union(idxs) == best)
 
 
 def brute_cover_count(members) -> tuple[int, tuple[int, ...]]:

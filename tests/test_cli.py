@@ -245,6 +245,24 @@ class TestCnfCommands:
         assert code == 0
         assert json.loads(out)["satisfiable"] is False
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--moduli", "3,3"),
+            ("--moduli", "2,2,3"),
+            ("--k", "2", "--m", "5"),
+            ("--moduli", "3,5"),
+            ("--k", "3", "--m", "5"),
+            ("--k", "3", "--m", "2"),  # no points
+        ],
+    )
+    def test_anchored_check_agrees_with_the_search_maximum(self, capsys, flags):
+        _, out, _ = run(capsys, "search", "uniform" if "--k" in flags else "vectors", *flags)
+        maximum = json.loads(out)["maximum"]
+        for size in range(maximum + 2):
+            _, out, _ = run(capsys, "cnf", "check", *flags, "--size", str(size))
+            assert json.loads(out)["satisfiable"] is (size <= maximum)
+
     def test_check_deeper_than_the_recursion_limit(self, capsys):
         # 2,673 variables, and DPLL makes more nested decisions than Python's
         # default recursion limit allows frames

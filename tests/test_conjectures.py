@@ -1,6 +1,8 @@
+import itertools
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from sunflower import (
     parse_set_family,
     scan_to_csv,
 )
+from sunflower import search
 from sunflower.search import _TIME_CHECK_STRIDE
 
 
@@ -37,8 +40,11 @@ class TestMaxUnion:
     @pytest.mark.parametrize("km", [(1, 4), (2, 4), (2, 5), (3, 4)])
     def test_matches_exhaustive_oracle(self, km):
         k, m = km
-        ref, _ = brute_max_union(k, m)
-        assert max_union(k, m).max_union == ref
+        ref, idxs = brute_max_union(k, m)
+        rep = max_union(k, m)
+        assert rep.max_union == ref
+        points = list(itertools.combinations(range(m), k))
+        assert rep.witness == tuple(points[i] for i in idxs)  # first in tuple order
 
     def test_witness_is_free_and_attains_the_union(self):
         rep = max_union(2, 6)
@@ -75,15 +81,20 @@ class TestMaxUnion:
             max_union(6, 24, point_ceiling=1000)
 
     def test_node_budget_degrades_gracefully(self):
-        # the unbudgeted run needs 8,747 nodes
+        # the unbudgeted run needs 234 nodes
         rep = max_union(2, 8, max_nodes=50)
         assert not rep.optimal
         assert rep.nodes_explored == 51
         assert brute_find_sunflower_sets(rep.witness) is None
         assert len(set().union(*rep.witness)) == rep.max_union
 
-    def test_deadline_exit_reports_the_engine_counters(self):
-        rep = max_union(2, 11, time_limit=0.05)
+    def test_deadline_exit_reports_the_engine_counters(self, monkeypatch):
+        # the unbudgeted run needs 9,810 nodes; the clock passes the
+        # deadline after its first read, so the engine stops one stride in
+        reads = iter([float("-inf")])
+        clock = SimpleNamespace(monotonic=lambda: next(reads, float("inf")))
+        monkeypatch.setattr(search, "time", clock)
+        rep = max_union(2, 20, time_limit=60)
         assert not rep.optimal
         assert rep.nodes_explored > 0
         assert rep.nodes_explored % _TIME_CHECK_STRIDE == 0

@@ -188,6 +188,49 @@ class TestSearchMechanics:
         assert len(idxs) >= 1
 
 
+class TestSymmetryAnchor:
+    @pytest.mark.parametrize(
+        "instance,seconds",
+        [
+            (VectorInstance(as_modulus_vector((3, 4, 3))), [1, 3, 4, 13, 16]),
+            (VectorInstance(as_modulus_vector((3,) * 4)), [1, 4, 13, 40]),
+            (VectorInstance(as_modulus_vector((4, 4, 4))), [1, 5, 21]),
+            (VectorInstance(as_modulus_vector(())), []),  # one point
+            (UniformInstance(3, 7), [1, 9, 31]),
+            (UniformInstance(2, 9), [1, 15]),
+            (UniformInstance(3, 3), []),  # one point
+            (UniformInstance(3, 2), []),  # no point
+        ],
+    )
+    def test_canonical_second_points(self, instance, seconds):
+        assert instance.canonical_second_points() == seconds
+
+    def test_uniform_canonical_points_are_the_two_block_subsets(self):
+        points = UniformInstance(3, 7).points()
+        got = [points[i] for i in UniformInstance(3, 7).canonical_second_points()]
+        assert got == [(0, 1, 3), (0, 3, 4), (3, 4, 5)]
+
+    @pytest.mark.parametrize(
+        "moduli", [(3, 4, 3), (2, 3, 2), (3, 2, 3), (2, 2, 2, 3), (4, 4), (5, 3)]
+    )
+    def test_anchor_keeps_the_maximum_and_the_witness(self, moduli):
+        a = max_sunflower_free_vectors(moduli, anchor=True)
+        b = max_sunflower_free_vectors(moduli, anchor=False)
+        assert a.optimal and b.optimal
+        assert (a.maximum, a.witness_indices) == (b.maximum, b.witness_indices)
+        assert a.nodes_explored < b.nodes_explored
+
+    def test_uniform_search_is_anchored_when_it_has_a_point(self):
+        assert max_sunflower_free_uniform(2, 5).stats["anchored"] is True
+        assert max_sunflower_free_uniform(3, 2).stats["anchored"] is False
+
+    def test_starts_share_one_node_budget(self):
+        # the starts [0, 1], [0, 4], [0, 13] take 5,491, 2,163 and 83 nodes
+        assert max_sunflower_free_vectors((3, 3, 3), max_nodes=7737).optimal
+        r = max_sunflower_free_vectors((3, 3, 3), max_nodes=6000)
+        assert not r.optimal and r.nodes_explored == 6001
+
+
 class TestVerify:
     def test_accepts_free_rejects_sunflower(self):
         inst = VectorInstance(as_modulus_vector((3,)))
