@@ -168,7 +168,7 @@ class _Engine:
         self.best: list[int] = []
         self.best_value = 0
 
-    def _acc(self, points: list[int]) -> int:
+    def _acc(self, points: Sequence[int]) -> int:
         acc = 0
         for p in points:
             acc |= 1 << p if self.weights is None else self.weights[p]
@@ -225,8 +225,14 @@ class _Engine:
             self.nodes, self.prunes, self.best_value = nodes, prunes, best_value
 
     def run_anchored(self, seconds: Sequence[int]) -> bool:
-        """Run from [0, c] for each c in order; True when every start is exhausted."""
+        """Run from [0, c] for each c in order; True when every start is exhausted.
+
+        When the root's bound cannot beat the seed, the root is one pruned node.
+        """
         full, narrow = self.kernel.full, self.kernel.narrow
+        root = full if self.weights is None else self._acc(range(full.bit_length()))
+        if seconds and root.bit_count() <= self.best_value:
+            return self.run([], full)
         return all(self.run([0, c], narrow(full >> (c + 1) << (c + 1), [0], c)) for c in seconds)
 
 
@@ -512,91 +518,99 @@ def _describe_text(instance: Instance) -> str:
 
 
 def cnf_satisfiable(cnf: CnfInstance, max_vars: int = 4000) -> bool:
-    """DPLL with unit propagation over occurrence lists; tiny instances only.
+    """DPLL with two watched literals per clause; tiny instances only.
 
     Branches on the lowest unassigned variable, trying true first, so the
     decision order matches the point order of the exported encodings.
-    Decisions live on an explicit stack, not on Python's call stack.
+    Decisions live on an explicit stack, not on Python's call stack.  A
+    clause is visited only when one of its watched literals, its first two,
+    turns false; it then moves that watch or propagates its other watch.
+    Propagation reaches one fixpoint in any clause order, so the decision
+    tree is that of plain unit propagation.  Backtracking is chronological:
+    the watches stay valid on undo, which only clears the trail suffix.
     """
     if cnf.num_vars > max_vars:
         raise TooLarge(f"naive checker capped at {max_vars} variables")
     n = cnf.num_vars
-    clauses = [tuple(cl) for cl in cnf.clauses]
-    if any(len(cl) == 0 for cl in clauses):
+    if any(len(cl) == 0 for cl in cnf.clauses):
         return False
-    occurs: list[list[int]] = [[] for _ in range(n + 1)]
-    for ci, cl in enumerate(clauses):
-        for lit in cl:
-            occurs[abs(lit)].append(ci)
-    assign: list[bool | None] = [None] * (n + 1)
-
-    def set_literal(lit: int, trail: list[int]) -> bool:
-        v, val = abs(lit), lit > 0
-        if assign[v] is not None:
-            return assign[v] == val
-        assign[v] = val
-        trail.append(v)
-        return True
-
-    def propagate(trail: list[int]) -> bool:
-        i = 0
-        while i < len(trail):
-            v = trail[i]
-            i += 1
-            for ci in occurs[v]:
-                cl = clauses[ci]
-                unit = 0
-                satisfied = False
-                open_count = 0
-                for lit in cl:
-                    a = assign[abs(lit)]
-                    if a is None:
-                        open_count += 1
-                        unit = lit
-                        if open_count > 1:
-                            break
-                    elif (lit > 0) == a:
-                        satisfied = True
-                        break
-                if satisfied or open_count > 1:
-                    continue
-                if open_count == 0:
-                    return False
-                if not set_literal(unit, trail):
-                    return False
-        return True
-
-    def undo(trail: list[int]) -> None:
-        for v in trail:
-            assign[v] = None
-
+    if any(not 0 < abs(lit) <= n for cl in cnf.clauses for lit in cl):
+        raise DomainError(f"a literal names no variable in 1..{n}")
+    # indexed by literal: slot -v of a list of length 2n+1 is literal -v
+    value: list[bool | None] = [None] * (2 * n + 1)
+    watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
     trail: list[int] = []
-    for cl in clauses:
+
+    def assign(lit: int) -> bool:
+        if value[lit] is None:
+            value[lit], value[-lit] = True, False
+            trail.append(lit)
+        return bool(value[lit])
+
+    def propagate(i: int) -> bool:
+        while i < len(trail):
+            false_lit = -trail[i]
+            i += 1
+            ws = iter(watches[false_lit])
+            watches[false_lit] = keep = []
+            for cl in ws:
+                other = cl[0]
+                if other == false_lit:
+                    other = cl[0] = cl[1]
+                    cl[1] = false_lit
+                if value[other]:
+                    keep.append(cl)
+                    continue
+                for m in range(2, len(cl)):
+                    lit = cl[m]
+                    if value[lit] is not False:  # move the watch to lit
+                        cl[1], cl[m] = lit, false_lit
+                        watches[lit].append(cl)
+                        break
+                else:
+                    keep.append(cl)
+                    if value[other] is False:
+                        keep.extend(ws)
+                        return False
+                    value[other], value[-other] = True, False
+                    trail.append(other)
+        return True
+
+    def undo(start: int) -> None:
+        for lit in trail[start:]:
+            value[lit] = value[-lit] = None
+        del trail[start:]
+
+    for raw in cnf.clauses:
+        cl = list(dict.fromkeys(raw))
         if len(cl) == 1:
-            if not set_literal(cl[0], trail):
+            if not assign(cl[0]):
                 return False
-    if not propagate(trail):
+        elif not any(-lit in raw for lit in cl):  # a tautology always holds
+            watches[cl[0]].append(cl)
+            watches[cl[1]].append(cl)
+    if not propagate(0):
         return False
 
-    decisions: list[tuple[int, bool, list[int]]] = []
+    decisions: list[tuple[int, bool, int]] = []
     v = 1
     while True:
-        while v <= n and assign[v] is not None:
+        while v <= n and value[v] is not None:
             v += 1
         if v > n:
             return True
-        value = True
+        val = True
         while True:
-            assign[v] = value
-            trail = [v]
-            if propagate(trail):
-                decisions.append((v, value, trail))
+            start = len(trail)
+            assign(v if val else -v)
+            if propagate(start):
+                decisions.append((v, val, start))
                 v += 1
                 break
-            undo(trail)
-            while not value:  # both values failed: flip an earlier decision
+            undo(start)
+            while not val:  # both values failed: flip an earlier decision
                 if not decisions:
                     return False
-                v, value, trail = decisions.pop()
-                undo(trail)
-            value = False
+                v, val, start = decisions.pop()
+                undo(start)
+            val = False

@@ -30,6 +30,8 @@ CASES = [  # (name, argv, exit code)
     ("search-uniform-3-7", ["search", "uniform", "--k", "3", "--m", "7"], 0),
     ("search-uniform-2-8-budget",
      ["search", "uniform", "--k", "2", "--m", "8", "--budget-nodes", "500"], 0),
+    ("search-uniform-2-9-budget",
+     ["search", "uniform", "--k", "2", "--m", "9", "--budget-nodes", "100"], 0),
     ("conjecture-scan-2-4to9", ["conjecture", "scan", "--k", "2", "--m", "4..9"], 0),
     ("cnf-export-vectors-33", ["cnf", "export", "--moduli", "3,3", "--size", "5"], 0),
     ("cnf-check-vectors-33", ["cnf", "check", "--moduli", "3,3", "--size", "5"], 0),

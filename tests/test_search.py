@@ -230,6 +230,12 @@ class TestSymmetryAnchor:
         r = max_sunflower_free_vectors((3, 3, 3), max_nodes=6000)
         assert not r.optimal and r.nodes_explored == 6001
 
+    def test_root_that_cannot_beat_the_seed_is_one_pruned_node(self):
+        # greedy takes all of Z2^5, so no start [0, c] can beat it
+        r = max_sunflower_free_vectors((2,) * 5)
+        assert r.optimal and r.nodes_explored == 1 and r.stats["prunes"] == 1
+        assert r.witness_indices == tuple(range(32))
+
 
 class TestVerify:
     def test_accepts_free_rejects_sunflower(self):
@@ -374,6 +380,14 @@ class TestDpll:
         with pytest.raises(TooLarge):
             cnf_satisfiable(CnfInstance(4001, ((1,),), ()))
 
+    @pytest.mark.parametrize("clauses", [((3,),), ((-1, 2, -3),), ((0, 1),)])
+    def test_literal_outside_the_variables_rejected(self, clauses):
+        # slot 3 of a list indexed by literal over 2 variables is literal -2
+        from sunflower.search import CnfInstance
+
+        with pytest.raises(DomainError):
+            cnf_satisfiable(CnfInstance(2, clauses, ()))
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_property_matches_assignment_scan(self, data):
@@ -393,6 +407,50 @@ class TestDpll:
         mine = cnf_satisfiable(CnfInstance(num_vars, clauses, ()))
         ref = brute_cnf_satisfiable(num_vars, clauses)
         assert mine == ref
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_property_long_clauses_match_assignment_scan(self, data):
+        # clauses of up to 6 literals move a watch past several false
+        # literals; repeated and complementary literals are allowed
+        from sunflower.search import CnfInstance
+
+        num_vars = data.draw(st.integers(1, 10))
+        lit = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from((v, -v)))
+        clauses = data.draw(
+            st.lists(
+                st.lists(lit, min_size=1, max_size=6).map(tuple), max_size=24
+            ).map(tuple)
+        )
+        mine = cnf_satisfiable(CnfInstance(num_vars, clauses, ()))
+        assert mine == brute_cnf_satisfiable(num_vars, clauses)
+
+    def test_long_clause_moves_its_watch_past_false_literals(self):
+        from sunflower.search import CnfInstance
+
+        # (v, 7) and (v, -7) force each of 1..6 true, so the long clause
+        # refutes the formula.  Deciding 1..5 true falsifies it one literal
+        # at a time: its watches move past up to three false literals before
+        # it propagates -6.  A clause that lost a watch would let the search
+        # reach a model.
+        long_clause = ((-1, -2, -3, -4, -5, -6),)
+        forcing = tuple(c for v in range(1, 7) for c in ((v, 7), (v, -7)))
+        assert not brute_cnf_satisfiable(7, long_clause + forcing)
+        assert not cnf_satisfiable(CnfInstance(7, long_clause + forcing, ()))
+        # without the pair forcing 6, 6 = false completes a model
+        assert cnf_satisfiable(CnfInstance(7, long_clause + forcing[:-2], ()))
+
+    def test_solving_twice_leaves_the_instance_unchanged(self):
+        from sunflower.search import CnfInstance
+
+        for cnf, sat in (
+            (export_cnf(VectorInstance(as_modulus_vector((3, 3))), 5), False),
+            (export_cnf(VectorInstance(as_modulus_vector((3, 3))), 4), True),
+            (CnfInstance(4, ((1, 2, 1), (-1, 3, -3), (-2, -1), (2, 4, -1)), ()), True),
+        ):
+            clauses, text = cnf.clauses, cnf.to_dimacs()
+            assert cnf_satisfiable(cnf) is sat and cnf_satisfiable(cnf) is sat
+            assert cnf.clauses == clauses and cnf.to_dimacs() == text
 
 
 class TestInstances:
