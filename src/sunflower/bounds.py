@@ -158,23 +158,26 @@ def _j_log_objective(x: float, q: int) -> float:
 
 
 def j_constant(q: int, tol: float = 1e-12) -> JMinimizationResult:
-    """Minimize the J objective by a 256-point grid scan plus golden section.
+    """Minimize the J objective by a bisected 256-point grid plus golden section.
 
-    The grid pass picks the global bracket (unimodality is not assumed);
-    golden-section then shrinks the bracket below tol in x.
+    In t = log x the log objective log(sum_{i<q} e^{it}) - (q-1) t / 3 is
+    strictly convex, so bisecting its forward difference on the grid i / 257
+    finds the first grid minimum in 16 evaluations.  Golden section shrinks
+    the bracket of its neighbours (up to 1 past the last) below tol in x.
     """
     if q < 2:
         raise DomainError("q must be at least 2")
     if tol < 1e-12:
         raise DomainError("tolerance below 1e-12 is not supported")
 
-    grid = [i / (_GRID_POINTS + 1.0) for i in range(1, _GRID_POINTS + 1)]
-    values = [_j_log_objective(x, q) for x in grid]
-    best = min(range(len(grid)), key=lambda i: (values[i], i))
-    lo = grid[best - 1] if best > 0 else grid[0] / 2.0
-    hi = grid[best + 1] if best + 1 < len(grid) else (grid[-1] + 1.0) / 2.0
+    width = _GRID_POINTS + 1.0
+    lo, hi = 1, _GRID_POINTS  # the first k with f(k / 257) <= f((k + 1) / 257), else 256
+    while lo < hi:
+        mid = (lo + hi) // 2
+        rises = _j_log_objective(mid / width, q) <= _j_log_objective((mid + 1) / width, q)
+        lo, hi = (lo, mid) if rises else (mid + 1, hi)
+    a, b = max(lo - 1, 0.5) / width, (lo + 1) / width  # b = 1 past the last: never evaluated
 
-    a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = _j_log_objective(c, q)

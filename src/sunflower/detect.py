@@ -10,8 +10,8 @@ serves both: C closes a sunflower with (A, B) exactly when C contains A & B
 and misses A ^ B, so a pair's completions are the AND of per-feature member
 columns over A & B minus those over A ^ B.  The kernel also keeps the exact
 search's lazy completion table (narrow) and yields every sunflower triple in
-lex order (triples): the fast detectors, the search engine, greedy, the
-union search and CNF export all use this one object.
+lex order, by buckets of equal trace on each i (triples): the fast detectors,
+the search engine, greedy, the union search and CNF export all use it.
 
 Searches scan index combinations in lexicographic order, so the witness
 returned is always the lexicographically smallest one.  The definitional
@@ -106,7 +106,9 @@ class CompletionKernel:
     Members are kept as feature bitsets, and each feature as the bitset of
     the members holding it, so a pair costs O(|A| + |B|) big-int operations
     whatever the member count.  _keep[p][a] = ~completions(a, p) is the
-    search's lazy table: row p is made when narrow first sees p.
+    search's lazy table: row p is made when narrow first sees p.  In
+    triples, (i, j, l) is a sunflower iff j, l share a trace t on i and l
+    misses rows[j] ^ t: j tests its bucket or that petal's columns, the fewer.
     """
 
     def __init__(self, members: Sequence[Collection[int]]):
@@ -148,10 +150,34 @@ class CompletionKernel:
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
         """Every sunflower (i, j, l), i < j < l, in lex order."""
-        count = len(self.rows)
-        for i in range(count):
-            for j in range(i + 1, count):
-                above = self.completions(i, j) >> (j + 1)
+        rows, cols = self.rows, self.cols
+        for i, a in enumerate(rows):
+            later: dict[int, list[int]] = {}  # per trace, descending
+            for j in range(len(rows) - 1, i, -1):
+                t = rows[j] & a
+                if t in later:
+                    later[t].append(j)
+                else:
+                    later[t] = [j]
+            bits: dict[int, int] = {}  # per trace, made on first use
+            for j in range(i + 1, len(rows)):
+                t = rows[j] & a
+                bucket = later[t]
+                bucket.pop()  # j itself
+                if not bucket:
+                    continue
+                petal = rows[j] ^ t
+                if len(bucket) <= petal.bit_count():
+                    for l in reversed(bucket):
+                        if not rows[l] & petal:
+                            yield i, j, l
+                    continue
+                above = bits[t] = bits.get(t) or bitset(bucket)
+                while petal:
+                    low = petal & -petal
+                    above &= ~cols[low.bit_length() - 1]
+                    petal ^= low
+                above >>= j + 1
                 while above:
                     low = above & -above
                     yield i, j, j + low.bit_length()

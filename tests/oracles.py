@@ -55,6 +55,19 @@ def brute_find_sunflower_vectors(members):
     return None
 
 
+def brute_sunflower_triples(members, vectors=False):
+    """Every index triple (i, j, l), i < j < l, forming a sunflower, in lex order.
+
+    Members must be distinct: sets, or vectors when vectors is true.
+    """
+    test = (lambda c: brute_is_sunflower_vectors(*c)) if vectors else brute_is_sunflower_sets
+    return [
+        idxs
+        for idxs in itertools.combinations(range(len(members)), 3)
+        if test([members[i] for i in idxs])
+    ]
+
+
 def brute_find_ap_triple(members, moduli):
     """First (i, j, l), i < j < l, with m_i + m_l = 2 m_j in every coordinate."""
     for i, j, l in itertools.combinations(range(len(members)), 3):

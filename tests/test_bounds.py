@@ -25,6 +25,7 @@ from oracles import (
 )
 from randfam import rand_moduli
 
+from sunflower import bounds
 from sunflower import (
     EXACT_INT,
     EXACT_RATIONAL,
@@ -154,6 +155,36 @@ class TestJConstant:
             r = j_constant(q)
             assert abs(r.j_value - float(ref)) <= r.error_radius + 1e-10
             assert 0 < r.x_star < 1
+
+    @pytest.mark.parametrize("q", [1103, 2048, 10**4, 10**5, 2 * 10**6])
+    def test_large_q_against_high_precision(self, q):
+        # the minimizer lies past the last grid point 256/257 from q = 1103 on
+        _, ref = mp_j_constant(q)
+        r = j_constant(q)
+        assert abs(r.j_value - float(ref)) <= r.error_radius <= 1e-6
+        assert 256 / 257 < r.x_star < 1
+
+    def test_bisection_picks_the_full_scan_grid_minimum(self, monkeypatch):
+        # The first two golden-section probes are fixed by the bracket around
+        # the chosen grid point, so they pin it against a full 256-point scan.
+        objective = bounds._j_log_objective
+        grid = [i / 257.0 for i in range(1, 257)]
+        seen = []
+
+        def record(x, q):
+            seen.append(x)
+            return objective(x, q)
+
+        monkeypatch.setattr(bounds, "_j_log_objective", record)
+        for q in range(2, 2001):
+            values = [objective(x, q) for x in grid]
+            best = min(range(256), key=lambda i: (values[i], i))
+            a = grid[best - 1] if best > 0 else grid[0] / 2.0
+            b = grid[best + 1] if best < 255 else 1.0
+            seen.clear()
+            j_constant(q)
+            assert all(x in grid for x in seen[:16])
+            assert seen[16:18] == [b - bounds._INVPHI * (b - a), a + bounds._INVPHI * (b - a)]
 
     def test_decreasing_spot_checks(self):
         assert j_constant(3).j_value > j_constant(4).j_value > j_constant(16).j_value

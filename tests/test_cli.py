@@ -98,6 +98,15 @@ class TestBoundsCommand:
         assert abs(payload["j"] - 0.9184) < 5e-5
         assert payload["exactness"] == "float"
 
+    def test_j_subcommand_past_the_grid(self, capsys):
+        # the minimizer of q = 2048 lies past the last grid point 256/257;
+        # 0.8415814688892821 is mp_j_constant(2048) of tests/oracles.py
+        code, out, _ = run(capsys, "bounds", "j", "--q", "2048")
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["j"] - 0.8415814688892821) <= payload["radius"]
+        assert round(payload["j"], 5) == 0.84158
+
     def test_missing_context_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bounds")
         assert code == 2

@@ -15,6 +15,7 @@ from oracles import (
     brute_find_sunflower_vectors,
     brute_is_sunflower_sets,
     brute_is_sunflower_vectors,
+    brute_sunflower_triples,
 )
 from randfam import rand_set_family, rand_vector_family
 
@@ -40,7 +41,12 @@ from sunflower import (
     witness_holds,
 )
 from sunflower import detect
-from sunflower.detect import CompletionKernel, find_sunflower_vectors_lookup
+from sunflower.detect import (
+    CompletionKernel,
+    bitset,
+    find_sunflower_vectors_lookup,
+    vector_features,
+)
 from sunflower.search import VectorInstance, verify_family_points
 
 
@@ -302,6 +308,60 @@ def test_property_kernel_completions_match_definitional(members):
             and brute_is_sunflower_sets((members[i], members[j], members[l]))
         )
         assert kernel.completions(i, j) == expected
+
+
+SET_MEMBER_LISTS = st.one_of(
+    # empty and nested members arise over a small ground set
+    st.lists(st.frozensets(st.integers(0, 7), max_size=5), max_size=12, unique=True),
+    # a chain of prefixes, shuffled: nested throughout, no triple
+    st.lists(st.integers(0, 9), max_size=10, unique=True).map(
+        lambda ks: [frozenset(range(k)) for k in ks]
+    ),
+    # pairwise disjoint blocks on a shared core: every triple
+    st.tuples(st.booleans(), st.lists(st.integers(0, 3), max_size=10)).map(
+        lambda args: list(
+            {
+                frozenset({100} if args[0] else ()) | frozenset(range(10 * n, 10 * n + size)): None
+                for n, size in enumerate(args[1])
+            }
+        )
+    ),
+)
+
+
+@given(SET_MEMBER_LISTS)
+@settings(max_examples=150, deadline=None)
+def test_property_triples_match_brute_enumeration(members):
+    assert list(CompletionKernel(members).triples()) == brute_sunflower_triples(members)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_property_vector_triples_match_brute_enumeration(data):
+    n = data.draw(st.integers(1, 4))
+    moduli = tuple(data.draw(st.sampled_from((2, 3, 4, 5))) for _ in range(n))
+    members = data.draw(
+        st.lists(
+            st.tuples(*(st.integers(0, d - 1) for d in moduli)),
+            max_size=14,
+            unique=True,
+        )
+    )
+    kernel = CompletionKernel(vector_features(moduli, members))
+    assert list(kernel.triples()) == brute_sunflower_triples(members, vectors=True)
+
+
+def test_triples_take_the_column_branch_on_a_large_bucket(monkeypatch):
+    # Every member after {0} has trace {} on it: one bucket, whose 14 members
+    # after {1} outnumber its petal, so its bits are made there; members
+    # meeting a petal drop out by column.
+    members = [frozenset({0})] + [frozenset({e}) for e in range(1, 13)]
+    members += [frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6, 13})]
+    kernel = CompletionKernel(members)
+    made = []
+    monkeypatch.setattr(detect, "bitset", lambda items: made.append(len(items)) or bitset(items))
+    assert list(kernel.triples()) == brute_sunflower_triples(members)
+    assert made[:1] == [14]
 
 
 @given(st.data())
