@@ -147,6 +147,7 @@ class JMinimizationResult:
 
 
 _GRID_POINTS = 256
+_J_REL_TOL = 1e-6  # golden-section stop, relative to 1 - x
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -163,10 +164,15 @@ def j_constant(q: int, tol: float = 1e-12) -> JMinimizationResult:
     In t = log x the log objective log(sum_{i<q} e^{it}) - (q-1) t / 3 is
     strictly convex, so bisecting its forward difference on the grid i / 257
     finds the first grid minimum in 16 evaluations.  Golden section shrinks
-    the bracket of its neighbours (up to 1 past the last) below tol in x.
+    the bracket of its neighbours (up to 1 past the last) below tol in x and
+    below _J_REL_TOL of its distance to 1 (1 - x_star is about 2.15 / q), or
+    to two units in the last place.  q is capped at 2^53, the last q that
+    is exact as a double.
     """
     if q < 2:
         raise DomainError("q must be at least 2")
+    if q > 2**53:
+        raise DomainError("q above 2^53 is not exact as a double")
     if tol < 1e-12:
         raise DomainError("tolerance below 1e-12 is not supported")
 
@@ -183,7 +189,8 @@ def j_constant(q: int, tol: float = 1e-12) -> JMinimizationResult:
     fc = _j_log_objective(c, q)
     fd = _j_log_objective(d, q)
     for _ in range(300):
-        if b - a <= tol:
+        width = b - a  # tol first: the relative tests cost more and matter only near 1
+        if width <= tol and (width <= (1.0 - a) * _J_REL_TOL or width <= 2.0 * math.ulp(b)):
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -198,9 +205,9 @@ def j_constant(q: int, tol: float = 1e-12) -> JMinimizationResult:
     log_f = _j_log_objective(x_star, q)
     j_value = math.exp(log_f) / q
 
-    # Radius: spread of the objective across a tol-sized step plus the
-    # rounding budget of the evaluation itself.
-    delta = max(tol, 1e-9)
+    # Radius: spread of the objective across a step as wide as the final
+    # bracket can be, plus the rounding budget of the evaluation itself.
+    delta = max(min(max(tol, 1e-9), (1.0 - x_star) * _J_REL_TOL), 2.0 * math.ulp(x_star))
     probe_lo = max(x_star - delta, x_star / 2.0)
     probe_hi = min(x_star + delta, (1.0 + x_star) / 2.0)
     spread = max(

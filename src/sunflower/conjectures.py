@@ -112,7 +112,11 @@ def max_union(
     engine = _Engine(kernel, max_nodes, deadline, weights=kernel.rows)
     if points:  # the starts cover families of two or more members
         engine.seed([0])
-    optimal = engine.run_anchored(instance.canonical_second_points())
+    try:
+        optimal = engine.run_anchored(instance.canonical_second_points())
+    except KeyboardInterrupt:  # stop as at a budget exit, with the incumbent
+        optimal = False
+        engine.seed(engine.best)
 
     witness = tuple(points[i] for i in engine.best)
     family = SetFamily(tuple(frozenset(p) for p in witness))

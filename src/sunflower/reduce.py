@@ -69,13 +69,11 @@ def crt_map(f: VectorFamily) -> VectorFamily:
     return VectorFamily(new_moduli, members)
 
 
-def _rainbow_probability_table(k: int) -> list[Fraction]:
-    # pf[c]: probability that a member with c classes already hit (all
+def _rainbow_count_table(k: int) -> list[int]:
+    # num[c] / k^k: probability that a member with c classes already hit (all
     # distinct) ends up transversal when its remaining k-c elements are
-    # assigned independently and uniformly.
-    return [
-        Fraction(math.factorial(k - c), k ** (k - c)) for c in range(k + 1)
-    ]
+    # assigned independently and uniformly, (k-c)! / k^(k-c).
+    return [math.factorial(k - c) * k**c for c in range(k + 1)]
 
 
 def ek_guarantee(k: int, family_size: int) -> Fraction:
@@ -96,7 +94,7 @@ def _assignment_to_result(
 
 
 def _derandomized_assignment(f: SetFamily, elements: Sequence[int], k: int) -> list[int]:
-    pf = _rainbow_probability_table(k)
+    num = _rainbow_count_table(k)  # gains scaled by k^k, so the comparisons stay exact
     containing: dict[int, list[int]] = {e: [] for e in elements}
     for mi, mem in enumerate(f.members):
         for e in mem:
@@ -109,18 +107,18 @@ def _derandomized_assignment(f: SetFamily, elements: Sequence[int], k: int) -> l
     for e in elements:
         mems = containing[e]
         best_j = 0
-        best_gain: Fraction | None = None
+        best_gain: int | None = None
         for j in range(k):
             bit = 1 << j
-            gain = Fraction(0)
+            gain = 0
             for mi in mems:
                 if not alive[mi]:
                     continue
                 c = used_count[mi]
                 if used_mask[mi] & bit:
-                    gain -= pf[c]
+                    gain -= num[c]
                 else:
-                    gain += pf[c + 1] - pf[c]
+                    gain += num[c + 1] - num[c]
             if best_gain is None or gain > best_gain:
                 best_gain = gain
                 best_j = j

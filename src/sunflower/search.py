@@ -15,11 +15,14 @@ starts only from [0, c], c a canonical second point (see VectorInstance).
 
 Triple constraints live in the lazy table of detect.CompletionKernel, built
 over the points' features: row p, made when point p is first included,
-holds at each chosen a < p the complement of the completions of (a, p), and
-kernel.narrow is the one narrowing step of the engine and greedy.  Answers are
-verified with the definitional scans of detect (for vectors the pair lookup,
-quadratic when no column holds more than 3 values), never with that kernel.
-time_limit is one deadline, set at call start, for greedy and the engine.
+holds at each chosen a < p the complement of the completions of (a, p).
+Greedy and the anchored starts narrow with kernel.narrow; the engine keeps a
+path memo so that an include ANDs one memo entry instead of every chosen
+point's slot (see _Engine).  Answers are verified with the definitional
+scans of detect (for vectors the pair lookup, quadratic when no column holds
+more than 3 values), never with that kernel.  time_limit is one deadline,
+set at call start, for greedy and the engine; an interrupt during either
+returns the incumbent unproved, as a budget exit does.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ DEFAULT_POINT_CEILING = 2**20
 DEFAULT_NODE_BUDGET = 10**9
 CNF_POINT_CEILING = 5000
 _TIME_CHECK_STRIDE = 4096
+_MEMO_WINDOW = 4  # path-memo levels read and written below the current one
 
 
 @dataclass(frozen=True)
@@ -146,10 +150,20 @@ class _Engine:
     A node is (chosen, acc, cands): acc is the OR of the chosen points'
     weights and cands the admissible points above the last chosen one.  A
     node whose popcount(acc) beats the incumbent is recorded; one whose
-    bound (acc | cands without weights, else acc with every candidate's
-    weight) cannot beat it is pruned.  Including a point pushes the
-    parent's (cands, acc); popping it resumes the parent with that point
-    excluded.
+    bound (popcount(acc) + |cands| without weights, else acc with every
+    candidate's weight) cannot beat it is pruned.  Including a point pushes
+    the parent's (cands, acc) with its memo level and the point; popping it
+    resumes the parent with that point excluded.
+
+    Path memo: level d maps a point q to the AND of row q's slots over
+    chosen[:d], so including p at depth k narrows by level k's entry for p.
+    A new level starts empty whenever chosen[d - 1] is set.  On a miss the
+    include extends the deepest of the _MEMO_WINDOW levels below k that
+    holds p, ANDing only the missing slots and storing each level on the
+    way up; when none holds it, narrow computes the level at the window's
+    bottom from scratch.  AND is associative, so every node, prune and
+    incumbent is that of narrowing over all of chosen, while levels outside
+    the window, never written, keep memory bounded on deep paths.
     """
 
     def __init__(
@@ -180,47 +194,73 @@ class _Engine:
 
     def run(self, chosen: list[int], cands: int) -> bool:
         """DFS from a start state; True when exhausted within budget."""
-        weights, narrow, deadline = self.weights, self.kernel.narrow, self.deadline
-        max_nodes, nodes, prunes = self.max_nodes, self.nodes, self.prunes
-        best_value = self.best_value
-        chosen = list(chosen)
+        weights, deadline, max_nodes = self.weights, self.deadline, self.max_nodes
+        kernel = self.kernel
+        table, row_of, fill, narrow = kernel.table, kernel.row, kernel.fill, kernel.narrow
+        nodes, prunes, best_value = self.nodes, self.prunes, self.best_value
         acc = self._acc(chosen)
-        stack: list[tuple[int, int]] = []
+        # frame d: (cands, acc, memo level d, chosen[d]); the start's frames never pop
+        stack: list[tuple[int, int, dict[int, int], int]] = [(0, 0, {}, a) for a in chosen]
+        start, level = len(stack), {}
+        check = nodes  # the next node count that reads the clock or the budget
         try:
             while True:
-                if deadline is not None and nodes % _TIME_CHECK_STRIDE == 0:
-                    if time.monotonic() > deadline:  # also before the first node
+                if nodes >= check:
+                    if deadline is not None and nodes % _TIME_CHECK_STRIDE == 0:
+                        if time.monotonic() > deadline:  # also before the first node
+                            return False
+                    if nodes >= max_nodes:
+                        nodes += 1
                         return False
+                    check = max_nodes
+                    if deadline is not None:
+                        check = min(check, nodes - nodes % _TIME_CHECK_STRIDE + _TIME_CHECK_STRIDE)
                 nodes += 1
-                if nodes > max_nodes:
-                    return False
                 value = acc.bit_count()
                 if value > best_value:
                     best_value = value
-                    self.best = list(chosen)
+                    self.best = [frame[3] for frame in stack]
                 if cands:
                     if weights is None:
-                        bound = acc | cands
+                        bound = value + cands.bit_count()  # cands lie above acc's bits
                     else:
                         bound, rest = acc, cands
                         while rest:
                             bound |= weights[(rest & -rest).bit_length() - 1]
                             rest &= rest - 1
-                    if bound.bit_count() <= best_value:
+                        bound = bound.bit_count()
+                    if bound <= best_value:
                         prunes += 1
                     else:
                         low = cands & -cands
                         p = low.bit_length() - 1
                         cands ^= low
-                        stack.append((cands, acc))
-                        cands = narrow(cands, chosen, p)
-                        chosen.append(p)
+                        stack.append((cands, acc, level, p))
+                        keep = level.get(p)
+                        if keep is None:  # extend the deepest window level holding p
+                            row, k = table[p] or row_of(p), len(stack) - 1
+                            j, bottom = k - 1, (k - 1 - _MEMO_WINDOW if k > _MEMO_WINDOW else 0)
+                            while j > bottom:
+                                keep = stack[j][2].get(p)
+                                if keep is not None:
+                                    break
+                                j -= 1
+                            else:  # none holds p: level bottom from scratch
+                                j = bottom
+                                keep = narrow(-1, [frame[3] for frame in stack[:j]], p)
+                            while j < k:
+                                a = stack[j][3]
+                                slot = row[a]
+                                keep &= fill(a, p) if slot is None else slot
+                                j += 1
+                                stack[j][2][p] = keep
+                        cands &= keep
+                        level = {}  # memo level k + 1 reads chosen[k], now p
                         acc |= low if weights is None else weights[p]
                         continue
-                if not stack:
+                if len(stack) == start:
                     return True
-                cands, acc = stack.pop()
-                chosen.pop()
+                cands, acc, level, _ = stack.pop()
         finally:
             self.nodes, self.prunes, self.best_value = nodes, prunes, best_value
 
@@ -270,8 +310,14 @@ def greedy_lower_bound(instance: Instance) -> list[int]:
     return _greedy(CompletionKernel(instance.features(instance.points())))
 
 
-def _greedy(kernel: CompletionKernel, deadline: float | None = None) -> list[int]:
-    chosen: list[int] = []
+def _greedy(
+    kernel: CompletionKernel, deadline: float | None = None, chosen: list[int] | None = None
+) -> list[int]:
+    """Lex-first maximal family, built in chosen (a new list by default).
+
+    chosen grows in place, so an interrupt leaves a free prefix in it.
+    """
+    chosen = [] if chosen is None else chosen
     cands = kernel.full
     while cands and (deadline is None or time.monotonic() <= deadline):
         p = (cands & -cands).bit_length() - 1
@@ -294,15 +340,18 @@ def _run_search(
     deadline = None if time_limit is None else time.monotonic() + time_limit
     points = instance.points()
     kernel = CompletionKernel(instance.features(points))
-    greedy = _greedy(kernel, deadline)
-
     search = _Engine(kernel, max_nodes, deadline)
-    search.seed(greedy)
     anchored = anchor and bool(points)
-    if anchored:  # exact per the two-point argument on VectorInstance
-        optimal = search.run_anchored(instance.canonical_second_points())
-    else:
-        optimal = search.run([], kernel.full)
+    greedy: list[int] = []
+    try:
+        search.seed(_greedy(kernel, deadline, greedy))
+        if anchored:  # exact per the two-point argument on VectorInstance
+            optimal = search.run_anchored(instance.canonical_second_points())
+        else:
+            optimal = search.run([], kernel.full)
+    except KeyboardInterrupt:  # stop as at a budget exit, with the larger incumbent
+        optimal = False
+        search.seed(max(search.best, greedy, key=len))
 
     best = search.best
     witness_points = tuple(points[i] for i in best)

@@ -139,6 +139,67 @@ def brute_cover_count(members) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("the full family always covers its own union")
 
 
+def brute_branch_and_bound(points, kind, start, incumbent, union=False):
+    """(nodes, prunes, best) of the engine's include-first walk, rebuilt plainly.
+
+    Recursive, with candidates narrowed by the definitional triple test over
+    every chosen pair.  A node counts once; it records a strictly better
+    value, then is pruned when value + |candidates| (for union, the union
+    with every candidate) cannot beat the best, else includes its lowest
+    candidate and afterwards resumes without it.  Candidates start above the
+    last point of start, restricted to those closing no sunflower with it.
+    """
+    sets = kind == "sets"
+    test = brute_is_sunflower_sets if sets else (lambda t: brute_is_sunflower_vectors(*t))
+
+    def value(chosen):
+        if union:
+            return len(frozenset().union(*(points[i] for i in chosen)))
+        return len(chosen)
+
+    def admissible(chosen, q):  # q closes a sunflower with no chosen pair
+        return not any(test([points[a], points[b], points[q]])
+                       for a, b in itertools.combinations(chosen, 2))
+
+    stats = {"nodes": 0, "prunes": 0, "best": list(incumbent), "value": value(incumbent)}
+
+    def visit(chosen, cands):
+        stats["nodes"] += 1
+        if value(chosen) > stats["value"]:
+            stats["value"], stats["best"] = value(chosen), list(chosen)
+        if not cands:
+            return
+        bound = value(chosen + cands) if union else len(chosen) + len(cands)
+        if bound <= stats["value"]:
+            stats["prunes"] += 1
+            return
+        p, rest = cands[0], cands[1:]
+        visit(chosen + [p], [q for q in rest if admissible(chosen + [p], q)])
+        visit(chosen, rest)
+
+    above = start[-1] + 1 if start else 0
+    visit(list(start), [q for q in range(above, len(points)) if admissible(list(start), q)])
+    return stats["nodes"], stats["prunes"], stats["best"]
+
+
+# ---------------------------------------------------------------- partitions
+
+
+def brute_transversal_expectation(members, elements, k, partial):
+    """Mean count of transversal members over every completion of partial.
+
+    partial assigns classes in range(k) to a prefix of elements; each
+    completion assigns the rest uniformly.  A member is transversal when
+    its elements lie in pairwise distinct classes and it has k of them.
+    """
+    rest = len(elements) - len(partial)
+    total = 0
+    for tail in itertools.product(range(k), repeat=rest):
+        cls = dict(zip(elements, list(partial) + list(tail)))
+        total += sum(1 for m in members if len(m) == k == len({cls[e] for e in m}))
+    return Fraction(total, k**rest)
+
+
 # ---------------------------------------------------------------- CNF
 
 
@@ -185,7 +246,7 @@ def mp_j_constant(q: int, dps: int = 50):
     """Golden-section minimization of the J objective at high precision."""
     with mp.workdps(dps):
         invphi = (mp.sqrt(5) - 1) / 2
-        a, b = mp.mpf("1e-12"), 1 - mp.mpf("1e-12")
+        a, b = mp.mpf("1e-12"), 1 - mp.mpf(10) ** -30  # 1 - x_star is about 2.15 / q
         c = b - invphi * (b - a)
         d = a + invphi * (b - a)
         fc, fd = mp_j_objective(q, c), mp_j_objective(q, d)

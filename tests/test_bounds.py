@@ -164,6 +164,19 @@ class TestJConstant:
         assert abs(r.j_value - float(ref)) <= r.error_radius <= 1e-6
         assert 256 / 257 < r.x_star < 1
 
+    @pytest.mark.parametrize("q,tol", [(10**12, 1e-6), (10**12, 1e-12), (10**13, 1e-12), (2**53, 1e-12)])
+    def test_minimizer_near_one_against_high_precision(self, q, tol):
+        # the bracket's stop rule follows 1 - x_star, about 2.15 / q
+        _, ref = mp_j_constant(q)
+        r = j_constant(q, tol)
+        assert abs(r.j_value - float(ref)) <= r.error_radius
+        if q <= 10**13:
+            assert r.error_radius <= 1e-6
+
+    def test_q_beyond_double_precision_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            j_constant(10**16)
+
     def test_bisection_picks_the_full_scan_grid_minimum(self, monkeypatch):
         # The first two golden-section probes are fixed by the bracket around
         # the chosen grid point, so they pin it against a full 256-point scan.

@@ -107,6 +107,18 @@ class TestBoundsCommand:
         assert abs(payload["j"] - 0.8415814688892821) <= payload["radius"]
         assert round(payload["j"], 5) == 0.84158
 
+    def test_j_subcommand_near_one(self, capsys):
+        # 0.8414343723436019 is mp_j_constant(10**12) of tests/oracles.py
+        code, out, _ = run(capsys, "bounds", "j", "--q", "1000000000000", "--tol", "1e-6")
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["j"] - 0.8414343723436019) <= payload["radius"] <= 1e-6
+
+    def test_j_subcommand_beyond_double_precision(self, capsys):
+        code, out, err = run(capsys, "bounds", "j", "--q", "10000000000000000")
+        assert code == 1 and "Traceback" not in err
+        assert json.loads(out)["error"] == "DomainError"
+
     def test_missing_context_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bounds")
         assert code == 2

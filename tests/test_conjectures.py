@@ -25,6 +25,7 @@ from sunflower import (
     scan_to_csv,
 )
 from sunflower import search
+from sunflower.detect import CompletionKernel
 from sunflower.search import _TIME_CHECK_STRIDE
 
 
@@ -99,6 +100,20 @@ class TestMaxUnion:
         assert rep.nodes_explored > 0
         assert rep.nodes_explored % _TIME_CHECK_STRIDE == 0
         assert brute_find_sunflower_sets(rep.witness) is None
+
+    def test_interrupt_returns_the_incumbent(self, monkeypatch):
+        real, count = CompletionKernel.completions, itertools.count(1)
+
+        def completions(self, i, j):
+            if next(count) > 40:
+                raise KeyboardInterrupt
+            return real(self, i, j)
+
+        monkeypatch.setattr(CompletionKernel, "completions", completions)
+        rep = max_union(2, 8)
+        assert not rep.optimal and rep.nodes_explored > 0
+        assert brute_find_sunflower_sets(rep.witness) is None
+        assert len(set().union(*rep.witness)) == rep.max_union >= 2
 
     def test_expired_deadline_still_returns_a_free_witness(self):
         rep = max_union(2, 11, time_limit=0)

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import brute_is_sunflower_sets, brute_is_sunflower_vectors
+from oracles import (
+    brute_is_sunflower_sets,
+    brute_is_sunflower_vectors,
+    brute_transversal_expectation,
+)
 from randfam import rand_free_uniform_family, rand_partite
 
 from sunflower import (
@@ -365,3 +369,35 @@ def test_property_guarantee_matches_formula(k, size):
     from math import factorial
 
     assert ek_guarantee(k, size) == Fraction(factorial(k), k**k) * size
+
+
+def assert_steps_maximize_the_conditional_expectation(fam, k):
+    # each element goes to the lowest class that maximizes the expected
+    # transversal count given the classes already chosen
+    structure, _ = ek_partition(fam, mode="derandomized")
+    elements = sorted(fam.universe)
+    assignment = [structure.class_of[e] for e in elements]
+    for i in range(len(elements)):
+        values = [
+            brute_transversal_expectation(fam.members, elements, k, assignment[:i] + [j])
+            for j in range(k)
+        ]
+        assert assignment[i] == values.index(max(values))
+    return assignment
+
+
+def test_derandomized_steps_weigh_members_by_their_hit_classes():
+    # element 3 (of {0,1,3} and {2,3,4}) joins class 2, which keeps both
+    # alive; gains from (k-c)! k^(k-c) in place of (k-c)! k^c pick class 0
+    fam = SetFamily(tuple(map(frozenset, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])))
+    assert assert_steps_maximize_the_conditional_expectation(fam, 3) == [0, 1, 2, 2, 0]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_property_derandomized_steps_maximize_the_conditional_expectation(data):
+    k = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(k, 6))
+    pool = list(itertools.combinations(range(n), k))
+    members = data.draw(st.lists(st.sampled_from(pool), min_size=len(pool) // 3 or 1, unique=True))
+    assert_steps_maximize_the_conditional_expectation(SetFamily(tuple(map(frozenset, members))), k)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import (
+    brute_branch_and_bound,
     brute_cnf_satisfiable,
     brute_is_sunflower_sets,
     brute_is_sunflower_vectors,
@@ -121,12 +123,12 @@ class TestSearchMechanics:
             max_sunflower_free_vectors((4, 4, 4, 4, 4), point_ceiling=1000)
 
     def test_engine_depth_is_not_bounded_by_the_recursion_limit(self):
-        class NoCompletions:  # as in Z2^n, where no triple is a sunflower
-            def narrow(self, cands, chosen, p):
-                return cands
+        class NoCompletions(CompletionKernel):  # as in Z2^n, where no triple is a sunflower
+            def completions(self, i, j):
+                return 0
 
         points = sys.getrecursionlimit() + 200
-        engine = _Engine(NoCompletions(), max_nodes=points + 300, deadline=None)
+        engine = _Engine(NoCompletions([()] * points), max_nodes=points + 300, deadline=None)
         # the include-only path is `points` deep before any budget cut
         assert engine.run([], (1 << points) - 1) is False
         assert engine.nodes == points + 301
@@ -138,6 +140,47 @@ class TestSearchMechanics:
         assert r.nodes_explored > 0
         assert r.nodes_explored % _TIME_CHECK_STRIDE == 0
         assert r.maximum >= r.stats["greedy_size"]
+
+    @pytest.mark.parametrize("max_nodes", [0, 1, 4095, 4096, 4097])
+    def test_budget_exit_counts_one_node_past_the_budget(self, max_nodes):
+        r = max_sunflower_free_vectors((3, 3, 3, 3), max_nodes=max_nodes)
+        assert not r.optimal and r.nodes_explored == max_nodes + 1
+        assert r.maximum >= r.stats["greedy_size"]
+        inst = VectorInstance(as_modulus_vector((3, 3, 3, 3)))
+        assert verify_family_points(inst, r.witness_points) == (True, None)
+
+    @pytest.mark.parametrize(
+        "reads,max_nodes,nodes",
+        [
+            (1, 10**9, 0),  # the deadline passes before the first node
+            (2, 10**9, _TIME_CHECK_STRIDE),
+            (4, 10**9, 3 * _TIME_CHECK_STRIDE),
+            (2, _TIME_CHECK_STRIDE, _TIME_CHECK_STRIDE),  # the clock is read first
+            (3, _TIME_CHECK_STRIDE, _TIME_CHECK_STRIDE + 1),
+            (3, _TIME_CHECK_STRIDE + 5, _TIME_CHECK_STRIDE + 6),
+        ],
+    )
+    def test_fake_clock_deadline_exits_on_a_stride_multiple_before_the_budget(
+        self, monkeypatch, reads, max_nodes, nodes
+    ):
+        inst = VectorInstance(as_modulus_vector((3, 3, 3, 3)))
+        kernel = CompletionKernel(inst.features(inst.points()))
+        engine = _Engine(kernel, max_nodes, deadline=reads - 1.5)
+        engine.seed(_greedy(kernel))
+        ticks = itertools.count()  # one tick per clock read; read `reads` passes it
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=ticks.__next__))
+        assert engine.run_anchored(inst.canonical_second_points()) is False
+        assert engine.nodes == nodes
+        assert next(ticks) == (reads if nodes % _TIME_CHECK_STRIDE == 0 else reads - 1)
+
+    def test_fake_clock_time_limit_stops_the_engine_on_a_stride_multiple(self, monkeypatch):
+        ticks = itertools.count()  # greedy reads the clock once per include
+        clock = SimpleNamespace(monotonic=ticks.__next__, perf_counter=time.perf_counter)
+        monkeypatch.setattr(search, "time", clock)
+        r = max_sunflower_free_vectors((3, 3, 3, 3), time_limit=40.5)
+        reads_by_greedy = r.stats["greedy_size"] + 1  # with the call's start
+        assert not r.optimal
+        assert r.nodes_explored == (41 - reads_by_greedy) * _TIME_CHECK_STRIDE
 
     def test_time_limit_covers_greedy(self):
         # unbudgeted, greedy alone takes seconds and picks 1,024 points
@@ -154,6 +197,33 @@ class TestSearchMechanics:
         ticks = itertools.count()  # one tick per clock read
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=ticks.__next__))
         assert _greedy(kernel, deadline=3.5) == full[:4]
+
+    @staticmethod
+    def interrupt_after(monkeypatch, calls):
+        real, count = CompletionKernel.completions, itertools.count(1)
+
+        def completions(self, i, j):
+            if next(count) > calls:
+                raise KeyboardInterrupt
+            return real(self, i, j)
+
+        monkeypatch.setattr(CompletionKernel, "completions", completions)
+
+    def test_interrupt_in_greedy_returns_its_prefix(self, monkeypatch):
+        full = greedy_lower_bound(VectorInstance(as_modulus_vector((3, 3, 3, 3))))
+        self.interrupt_after(monkeypatch, 3)  # greedy's first three points fill 0 + 1 + 2 slots
+        r = max_sunflower_free_vectors((3, 3, 3, 3))
+        assert not r.optimal and r.nodes_explored == 0 and r.bound_checks == ()
+        assert r.witness_indices == tuple(full[:3]) and r.stats["greedy_size"] == 3
+
+    @pytest.mark.parametrize("moduli,calls", [((3, 3, 3, 3), 1000), ((3, 3, 3), 60)])
+    def test_interrupt_in_the_engine_returns_the_verified_incumbent(self, monkeypatch, moduli, calls):
+        self.interrupt_after(monkeypatch, calls)
+        r = max_sunflower_free_vectors(moduli)
+        assert not r.optimal and r.nodes_explored > 0 and r.bound_checks == ()
+        assert r.maximum == len(r.witness_indices) >= r.stats["greedy_size"]
+        inst = VectorInstance(as_modulus_vector(moduli))
+        assert verify_family_points(inst, r.witness_points) == (True, None)
 
     def test_nodes_deterministic_across_thread_settings(self):
         a = max_sunflower_free_uniform(2, 6, threads=1)
@@ -235,6 +305,49 @@ class TestSymmetryAnchor:
         r = max_sunflower_free_vectors((2,) * 5)
         assert r.optimal and r.nodes_explored == 1 and r.stats["prunes"] == 1
         assert r.witness_indices == tuple(range(32))
+
+
+class TestPathMemo:
+    """The engine's walk, node for node, against a plain recursive one."""
+
+    @staticmethod
+    def engine_walk(inst, union):
+        points = inst.points()
+        kernel = CompletionKernel(inst.features(points))
+        engine = _Engine(kernel, 10**9, None, weights=kernel.rows if union else None)
+        engine.seed([0] if union else _greedy(kernel))
+        engine.run_anchored(inst.canonical_second_points())
+        return engine.nodes, engine.prunes, engine.best
+
+    @staticmethod
+    def plain_walk(inst, union):
+        points = inst.points()
+        kind = "vectors" if isinstance(inst, VectorInstance) else "sets"
+        if kind == "sets":
+            points = [frozenset(p) for p in points]
+        best = [0] if union else greedy_lower_bound(inst)
+        nodes = prunes = 0
+        for c in inst.canonical_second_points():
+            n, r, best = brute_branch_and_bound(points, kind, [0, c], best, union)
+            nodes, prunes = nodes + n, prunes + r
+        return nodes, prunes, best
+
+    @pytest.mark.parametrize(
+        "inst,union",
+        [
+            # Z3^3 paths reach depth 9, so some walks start below the window
+            (VectorInstance(as_modulus_vector((3, 3, 3))), False),
+            (VectorInstance(as_modulus_vector((2, 3, 3))), False),
+            (VectorInstance(as_modulus_vector((3, 4))), False),
+            (UniformInstance(3, 6), False),
+            (UniformInstance(2, 7), True),
+            (UniformInstance(3, 5), True),
+        ],
+    )
+    def test_memo_levels_are_cleared_when_their_point_changes(self, inst, union):
+        # a memo level left holding the narrowing of an earlier sibling's
+        # path would change candidates, and so nodes, prunes or the witness
+        assert self.engine_walk(inst, union) == self.plain_walk(inst, union)
 
 
 class TestVerify:
