@@ -42,9 +42,11 @@ def main(argv=None) -> int:
             if min(moduli) >= 3:
                 bound = generalized_ns_bound(moduli)
             else:
-                # a modulus of 2 admits no all-distinct coordinate, so the
-                # whole space is free and the point count is the exact cap
-                bound = math.prod(moduli)
+                # each of the 2**a slices that fix the a coordinates of modulus
+                # 2 keeps them all-equal on every triple, so it is a free
+                # family over the moduli >= 3; the point count caps it too
+                rest = [d for d in moduli if d >= 3]
+                bound = min(math.prod(moduli), 2 ** moduli.count(2) * generalized_ns_bound(rest))
             writer.writerow(
                 [
                     "Z" + "x".join(str(d) for d in moduli),

@@ -12,18 +12,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import comb
 from typing import Mapping, Sequence
 
-from .detect import CompletionKernel, bitset, find_sunflower_sets
-from .errors import DomainError, SunflowerError, TooLarge
+from .detect import bitset
+from .errors import DomainError, TooLarge
 from .model import EXACT_INT, SetFamily
-from .search import (
-    DEFAULT_NODE_BUDGET,
-    DEFAULT_POINT_CEILING,
-    UniformInstance,
-    _Engine,
-)
+from .search import DEFAULT_NODE_BUDGET, DEFAULT_POINT_CEILING, UniformInstance, _solve
 
 COVER_MEMBER_CEILING = 30
 
@@ -94,34 +88,19 @@ def max_union(
 ) -> ConjectureReport:
     """Maximize the union size over sunflower-free k-uniform families on [m].
 
-    Runs the search engine's union objective over the k-subsets in
+    Runs search's driver with the union objective over the k-subsets in
     lexicographic order: a node's value is the size of the chosen members'
     union, and its bound is that union with every still-admissible member.
-    Seeded with [point 0], it runs with search's two-point anchor.  The
-    witness is the first maximum family in tuple order (a prefix first),
-    re-verified sunflower-free before reporting.
+    Seeded with [point 0], it runs with search's two-point anchor and
+    shares its point ceiling, budgets and interrupt handling.  The witness
+    is the first maximum family in tuple order (a prefix first), verified
+    sunflower-free by the driver.
     """
-    if comb(m, k) > point_ceiling:
-        raise TooLarge(f"C({m},{k}) exceeds the point ceiling {point_ceiling}")
     started = time.perf_counter()
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     instance = UniformInstance(k, m)
-    points = instance.points()
-    # a k-subset's features are its elements, so its kernel row is its bitset
-    kernel = CompletionKernel(points)
-    engine = _Engine(kernel, max_nodes, deadline, weights=kernel.rows)
-    if points:  # the starts cover families of two or more members
-        engine.seed([0])
-    try:
-        optimal = engine.run_anchored(instance.canonical_second_points())
-    except KeyboardInterrupt:  # stop as at a budget exit, with the incumbent
-        optimal = False
-        engine.seed(engine.best)
-
+    points, engine, _, optimal = _solve(instance, max_nodes, time_limit, point_ceiling, union=True)
     witness = tuple(points[i] for i in engine.best)
     family = SetFamily(tuple(frozenset(p) for p in witness))
-    if find_sunflower_sets(family, 3) is not None:
-        raise SunflowerError("internal error: union witness contains a sunflower")
 
     cover_n: int | None
     cover_members: tuple[int, ...] | None

@@ -18,6 +18,7 @@ is rejected unless empty members were explicitly allowed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -41,7 +42,7 @@ def _check_distinct(items: Sequence, what: str, exc=DuplicateMember) -> None:
         seen[item] = idx
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SetFamily:
     """Finite family of finite sets over non-negative integer element ids.
 
@@ -50,7 +51,7 @@ class SetFamily:
     """
 
     members: tuple[frozenset[int], ...]
-    labels: Mapping[int, str] | None = None
+    labels: Mapping[int, str] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(frozenset(m) for m in self.members))
@@ -61,14 +62,6 @@ class SetFamily:
         _check_distinct(self.members, "member")
         if self.labels is not None:
             object.__setattr__(self, "labels", dict(self.labels))
-
-    def __eq__(self, other):
-        if not isinstance(other, SetFamily):
-            return NotImplemented
-        return self.members == other.members
-
-    def __hash__(self):
-        return hash(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -151,10 +144,7 @@ class ModulusVector:
         return len(self.moduli)
 
     def point_count(self) -> int:
-        out = 1
-        for d in self.moduli:
-            out *= d
-        return out
+        return math.prod(self.moduli)
 
     def require_min(self, lo: int) -> None:
         """Raise unless every modulus is at least ``lo``."""
@@ -169,7 +159,7 @@ def as_modulus_vector(moduli) -> ModulusVector:
     return ModulusVector(tuple(moduli))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VectorFamily:
     """Family of distinct vectors, coordinate i ranging over [0, moduli[i])."""
 
@@ -189,14 +179,6 @@ class VectorFamily:
                 if not 0 <= c < d:
                     raise OutOfRange(f"coordinate {c} outside [0, {d}) in vector {v}")
         _check_distinct(self.members, "vector")
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorFamily):
-            return NotImplemented
-        return self.moduli == other.moduli and self.members == other.members
-
-    def __hash__(self):
-        return hash((self.moduli, self.members))
 
     def __len__(self) -> int:
         return len(self.members)

@@ -20,9 +20,10 @@ Greedy and the anchored starts narrow with kernel.narrow; the engine keeps a
 path memo so that an include ANDs one memo entry instead of every chosen
 point's slot (see _Engine).  Answers are verified with the definitional
 scans of detect (for vectors the pair lookup, quadratic when no column holds
-more than 3 values), never with that kernel.  time_limit is one deadline,
-set at call start, for greedy and the engine; an interrupt during either
-returns the incumbent unproved, as a budget exit does.
+more than 3 values), never with that kernel.  One driver, _solve, runs every
+search.  time_limit is one deadline, set at call start, and max_nodes one
+budget, for greedy's includes and the engine's nodes; an interrupt during
+either returns the incumbent unproved, as a budget exit does.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, product
-from math import comb, prod
+from math import comb, inf, prod
 from typing import Mapping, Sequence
 
 from . import bounds as _bounds
@@ -311,19 +312,62 @@ def greedy_lower_bound(instance: Instance) -> list[int]:
 
 
 def _greedy(
-    kernel: CompletionKernel, deadline: float | None = None, chosen: list[int] | None = None
+    kernel: CompletionKernel,
+    deadline: float | None = None,
+    chosen: list[int] | None = None,
+    max_size: float = inf,
 ) -> list[int]:
     """Lex-first maximal family, built in chosen (a new list by default).
 
-    chosen grows in place, so an interrupt leaves a free prefix in it.
+    chosen grows in place, so an interrupt, the deadline or max_size leaves
+    a free prefix in it.
     """
     chosen = [] if chosen is None else chosen
     cands = kernel.full
-    while cands and (deadline is None or time.monotonic() <= deadline):
+    while cands and len(chosen) < max_size and (deadline is None or time.monotonic() <= deadline):
         p = (cands & -cands).bit_length() - 1
         cands = kernel.narrow(cands & cands - 1, chosen, p)
         chosen.append(p)
     return chosen
+
+
+def _solve(
+    instance: Instance,
+    max_nodes: int,
+    time_limit: float | None,
+    point_ceiling: int,
+    anchor: bool = True,
+    union: bool = False,
+) -> tuple[list[tuple[int, ...]], _Engine, list[int], bool]:
+    """Run one search; return (points, engine, seed, optimal), engine.best verified.
+
+    union maximizes the union size from the seed [point 0], not greedy: its
+    witness must stay the first maximum in tuple order, where a prefix comes first.
+    """
+    count = instance.point_count()
+    if count > point_ceiling:
+        raise TooLarge(f"instance has {count} points, ceiling is {point_ceiling}")
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    points = instance.points()
+    kernel = CompletionKernel(instance.features(points))
+    # a k-subset's features are its elements, so its kernel row is its bitset
+    engine = _Engine(kernel, max_nodes, deadline, weights=kernel.rows if union else None)
+    seed = [0] if union and points else []
+    try:
+        engine.seed(seed if union else _greedy(kernel, deadline, seed, max_nodes))
+        # exact per the two-point argument on VectorInstance; over no points
+        # only the family-size search counts the empty root as a node
+        if anchor and (points or union):
+            optimal = engine.run_anchored(instance.canonical_second_points())
+        else:
+            optimal = engine.run([], kernel.full)
+    except KeyboardInterrupt:  # engine.best is the seed or better once seeded
+        optimal = False
+        engine.seed(engine.best or seed)
+    ok, witness = verify_family_points(instance, [points[i] for i in engine.best])
+    if not ok:
+        raise SunflowerError(f"internal error: witness fails verification at {witness.indices}")
+    return points, engine, seed, optimal
 
 
 def _run_search(
@@ -333,48 +377,24 @@ def _run_search(
     anchor: bool,
     point_ceiling: int,
 ) -> SearchResult:
-    count = instance.point_count()
-    if count > point_ceiling:
-        raise TooLarge(f"instance has {count} points, ceiling is {point_ceiling}")
     started = time.perf_counter()
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    points = instance.points()
-    kernel = CompletionKernel(instance.features(points))
-    search = _Engine(kernel, max_nodes, deadline)
-    anchored = anchor and bool(points)
-    greedy: list[int] = []
-    try:
-        search.seed(_greedy(kernel, deadline, greedy))
-        if anchored:  # exact per the two-point argument on VectorInstance
-            optimal = search.run_anchored(instance.canonical_second_points())
-        else:
-            optimal = search.run([], kernel.full)
-    except KeyboardInterrupt:  # stop as at a budget exit, with the larger incumbent
-        optimal = False
-        search.seed(max(search.best, greedy, key=len))
-
-    best = search.best
-    witness_points = tuple(points[i] for i in best)
+    points, engine, greedy, optimal = _solve(instance, max_nodes, time_limit, point_ceiling, anchor)
+    best = engine.best
     result = SearchResult(
         instance=instance.describe(),
         maximum=len(best),
         witness_indices=tuple(best),
-        witness_points=witness_points,
-        nodes_explored=search.nodes,
+        witness_points=tuple(points[i] for i in best),
+        nodes_explored=engine.nodes,
         optimal=optimal,
         elapsed=time.perf_counter() - started,
         stats={
-            "anchored": anchored,
+            "anchored": anchor and bool(points),
             "greedy_size": len(greedy),
-            "prunes": search.prunes,
+            "prunes": engine.prunes,
         },
         bound_checks=_bound_checks(instance, len(best)) if optimal else (),
     )
-    ok, witness = verify_family_points(instance, witness_points)
-    if not ok:
-        raise SunflowerError(
-            f"internal error: witness fails verification at {witness.indices}"
-        )
     for check in result.bound_checks:
         if not check["ok"]:
             raise SunflowerError(

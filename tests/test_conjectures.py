@@ -90,9 +90,10 @@ class TestMaxUnion:
         assert len(set().union(*rep.witness)) == rep.max_union
 
     def test_deadline_exit_reports_the_engine_counters(self, monkeypatch):
-        # the unbudgeted run needs 9,810 nodes; the clock passes the
-        # deadline after its first read, so the engine stops one stride in
-        reads = iter([float("-inf")])
+        # the unbudgeted run needs 9,810 nodes; the clock sets the deadline,
+        # passes it after the engine's first read, and the engine stops one
+        # stride in
+        reads = iter([0.0, 0.0])
         clock = SimpleNamespace(monotonic=lambda: next(reads, float("inf")))
         monkeypatch.setattr(search, "time", clock)
         rep = max_union(2, 20, time_limit=60)

@@ -24,6 +24,7 @@ from sunflower import (
     ModulusVector,
     SetFamily,
     SplitMix64,
+    SunflowerError,
     TooLarge,
     UniformInstance,
     VectorFamily,
@@ -35,6 +36,7 @@ from sunflower import (
     greedy_lower_bound,
     max_sunflower_free_uniform,
     max_sunflower_free_vectors,
+    max_union,
     verify_family,
     verify_family_points,
 )
@@ -198,6 +200,22 @@ class TestSearchMechanics:
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=ticks.__next__))
         assert _greedy(kernel, deadline=3.5) == full[:4]
 
+    def test_greedy_includes_count_against_the_node_budget(self):
+        # unbudgeted, greedy alone takes a minute and picks all 4,096 points
+        inst = VectorInstance(as_modulus_vector((2,) * 12))
+        r = max_sunflower_free_vectors((2,) * 12, max_nodes=0)
+        assert not r.optimal and r.stats["greedy_size"] == 0
+        assert verify_family_points(inst, r.witness_points) == (True, None)
+        r = max_sunflower_free_vectors((2,) * 12, max_nodes=7)
+        assert not r.optimal and r.stats["greedy_size"] <= 7
+        assert r.maximum >= r.stats["greedy_size"]
+        assert verify_family_points(inst, r.witness_points) == (True, None)
+
+    def test_greedy_stops_at_max_size(self):
+        inst = VectorInstance(as_modulus_vector((3, 3, 3)))
+        kernel = CompletionKernel(inst.features(inst.points()))
+        assert _greedy(kernel, max_size=5) == _greedy(kernel)[:5]
+
     @staticmethod
     def interrupt_after(monkeypatch, calls):
         real, count = CompletionKernel.completions, itertools.count(1)
@@ -358,6 +376,18 @@ class TestVerify:
         ok, witness = verify_family_points(inst, ((0,), (1,), (2,)))
         assert not ok
         assert witness.indices == (0, 1, 2)
+
+    def test_a_rejected_witness_raises_in_every_search(self, monkeypatch):
+        def reject(instance, points):
+            return False, SimpleNamespace(indices=(0, 1, 2))
+
+        monkeypatch.setattr(search, "verify_family_points", reject)
+        with pytest.raises(SunflowerError):
+            max_sunflower_free_vectors((3, 3))
+        with pytest.raises(SunflowerError):
+            max_sunflower_free_uniform(2, 5)
+        with pytest.raises(SunflowerError):
+            max_union(2, 5)
 
     def test_all_of_z2_to_the_8_is_free(self):
         inst = VectorInstance(as_modulus_vector((2,) * 8))
