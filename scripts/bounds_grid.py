@@ -13,17 +13,24 @@ from sunflower import erdos_rado_threshold, main_bound
 
 
 def parse_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+    """An int or lo..hi as a range; argparse rejects a bad or reversed one."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            cells = range(int(lo), int(hi) + 1)
+        else:
+            cells = range(int(text), int(text) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}") from None
+    if not cells:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return cells
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--k", default="2..6", help="k or lo..hi (default 2..6)")
-    ap.add_argument("--m", default="4..20", help="M or lo..hi (default 4..20)")
+    ap.add_argument("--k", type=parse_range, default="2..6", help="k or lo..hi (default 2..6)")
+    ap.add_argument("--m", type=parse_range, default="4..20", help="M or lo..hi (default 4..20)")
     ap.add_argument("--out", help="CSV path (default: stdout)")
     args = ap.parse_args(argv)
 
@@ -31,9 +38,9 @@ def main(argv=None) -> int:
     try:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["k", "M", "main_bound", "radius", "threshold", "tighter"])
-        for k in parse_range(args.k):
+        for k in args.k:
             threshold = erdos_rado_threshold(k, 3)
-            for m in parse_range(args.m):
+            for m in args.m:
                 if m < k:
                     continue
                 report = main_bound(k, m)

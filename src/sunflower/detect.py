@@ -8,11 +8,10 @@ the triple; the failure mode is a coordinate where exactly two agree.  That
 is the set condition on the features x -> {(i, x_i)}, so CompletionKernel
 serves both: C closes a sunflower with (A, B) exactly when C contains A & B
 and misses A ^ B, so a pair's completions are the AND of per-feature member
-columns over A & B minus those over A ^ B.  The kernel also keeps the exact
-search's lazy completion table (row, fill, narrow) and yields every
+columns over A & B minus those over A ^ B.  The kernel also yields every
 sunflower triple in lex order, by buckets of equal trace on each i
-(triples): the fast detectors, the search engine, greedy, the union search
-and CNF export all use it.
+(triples): the fast detectors and CNF export use that, and the exact
+search narrows through a lazy table of completions that it owns.
 
 Searches scan index combinations in lexicographic order, so the witness
 returned is always the lexicographically smallest one.  The definitional
@@ -106,13 +105,9 @@ class CompletionKernel:
 
     Members are kept as feature bitsets, and each feature as the bitset of
     the members holding it, so a pair costs O(|A| + |B|) big-int operations
-    whatever the member count.  table[p][a] = ~completions(a, p) is the
-    search's lazy table: row p is made on first use, slot a filled by fill,
-    the one place that writes it.  narrow ANDs a row over every chosen point
-    (greedy and the anchored starts); the search engine reads rows through
-    its own path memo.  In triples, (i, j, l) is a sunflower iff j, l share a
-    trace t on i and l misses rows[j] ^ t: j tests its bucket or that
-    petal's columns, the fewer.
+    whatever the member count.  In triples, (i, j, l) is a sunflower iff
+    j, l share a trace t on i and l misses rows[j] ^ t: j tests its bucket
+    or that petal's columns, the fewer.
     """
 
     def __init__(self, members: Sequence[Collection[int]]):
@@ -123,7 +118,6 @@ class CompletionKernel:
                 holders.setdefault(f, []).append(l)
         self.cols = {f: bitset(ls) for f, ls in holders.items()}
         self.full = (1 << len(self.rows)) - 1
-        self.table: list[list[int | None] | None] = [None] * len(self.rows)
 
     def completions(self, i: int, j: int) -> int:
         """Members l other than i, j with (i, j, l) a 3-sunflower."""
@@ -139,28 +133,6 @@ class CompletionKernel:
             drop |= cols[low.bit_length() - 1]
             differ ^= low
         return keep & ~drop
-
-    def row(self, p: int) -> list[int | None]:
-        """Table row p, made on first use; slot a < p is None until filled."""
-        row = self.table[p]
-        if row is None:
-            row = self.table[p] = [None] * p
-        return row
-
-    def fill(self, a: int, p: int) -> int:
-        """Fill slot a of row p (made already) with ~completions(a, p)."""
-        keep = self.table[p][a] = ~self.completions(a, p)
-        return keep
-
-    def narrow(self, cands: int, chosen: Sequence[int], p: int) -> int:
-        """cands without the completions of (a, p) for each chosen a < p."""
-        row = self.row(p)
-        for a in chosen:
-            keep = row[a]
-            if keep is None:
-                keep = self.fill(a, p)
-            cands &= keep
-        return cands
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
         """Every sunflower (i, j, l), i < j < l, in lex order."""

@@ -48,5 +48,5 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
     def spawn(self) -> "SplitMix64":
-        """Child stream; used to hand independent seeds to parallel rounds."""
+        """Child stream, seeded by this stream's next output."""
         return SplitMix64(self.next_u64())

@@ -13,14 +13,15 @@ the family returned is the lexicographically smallest maximum family
 family, and no maximum family is lex-smaller than it).  An anchored search
 starts only from [0, c], c a canonical second point (see VectorInstance).
 
-Triple constraints live in the lazy table of detect.CompletionKernel, built
-over the points' features: row p, made when point p is first included,
-holds at each chosen a < p the complement of the completions of (a, p).
-Greedy and the anchored starts narrow with kernel.narrow; the engine keeps a
-path memo so that an include ANDs one memo entry instead of every chosen
-point's slot (see _Engine).  Answers are verified with the definitional
-scans of detect (for vectors the pair lookup, quadratic when no column holds
-more than 3 values), never with that kernel.  One driver, _solve, runs every
+Triple constraints come from a detect.CompletionKernel over the points'
+features, cached in the engine's lazy table: row p, made when point p is
+first narrowed, holds at each chosen a < p the complement of the
+completions of (a, p), filled on first read.  Greedy and the anchored
+starts narrow with _Engine.narrow; the walk keeps a path memo so that an
+include ANDs one memo entry instead of every chosen point's slot (see
+_Engine).  Answers are verified with the definitional scans of detect (for
+vectors the pair lookup, quadratic when no column holds more than 3
+values), never with that kernel.  One driver, _solve, runs every
 search.  time_limit is one deadline, set at call start, and max_nodes one
 budget, for greedy's includes and the engine's nodes; an interrupt during
 either returns the incumbent unproved, as a budget exit does.
@@ -32,7 +33,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, product
-from math import comb, inf, prod
+from math import comb, prod
 from typing import Mapping, Sequence
 
 from . import bounds as _bounds
@@ -48,7 +49,7 @@ from .model import (
     as_modulus_vector,
 )
 
-DEFAULT_POINT_CEILING = 2**20
+DEFAULT_POINT_CEILING = 2**16
 DEFAULT_NODE_BUDGET = 10**9
 CNF_POINT_CEILING = 5000
 _TIME_CHECK_STRIDE = 4096
@@ -156,6 +157,10 @@ class _Engine:
     the parent's (cands, acc) with its memo level and the point; popping it
     resumes the parent with that point excluded.
 
+    table[p][a] = ~kernel.completions(a, p): row p is made on first use and
+    slot a filled on first read, by narrow or by the memo walk.  greedy, the
+    seed, reads the same deadline and counts its includes against max_nodes.
+
     Path memo: level d maps a point q to the AND of row q's slots over
     chosen[:d], so including p at depth k narrows by level k's entry for p.
     A new level starts empty whenever chosen[d - 1] is set.  On a miss the
@@ -182,6 +187,7 @@ class _Engine:
         self.prunes = 0
         self.best: list[int] = []
         self.best_value = 0
+        self.table: list[list[int | None] | None] = [None] * len(kernel.rows)
 
     def _acc(self, points: Sequence[int]) -> int:
         acc = 0
@@ -193,11 +199,38 @@ class _Engine:
         self.best = list(incumbent)
         self.best_value = self._acc(incumbent).bit_count()
 
+    def narrow(self, cands: int, chosen: Sequence[int], p: int) -> int:
+        """cands without the completions of (a, p) for each chosen a < p."""
+        row = self.table[p]
+        if row is None:
+            row = self.table[p] = [None] * p
+        for a in chosen:
+            keep = row[a]
+            if keep is None:
+                keep = row[a] = ~self.kernel.completions(a, p)
+            cands &= keep
+        return cands
+
+    def greedy(self, chosen: list[int] | None = None) -> list[int]:
+        """Lex-first maximal family, built in chosen (a new list by default).
+
+        chosen grows in place, so an interrupt, the deadline or max_nodes
+        includes leave a free prefix in it.
+        """
+        chosen = [] if chosen is None else chosen
+        cands, deadline = self.kernel.full, self.deadline
+        while cands and len(chosen) < self.max_nodes:
+            if deadline is not None and time.monotonic() > deadline:
+                break
+            p = (cands & -cands).bit_length() - 1
+            cands = self.narrow(cands & cands - 1, chosen, p)
+            chosen.append(p)
+        return chosen
+
     def run(self, chosen: list[int], cands: int) -> bool:
         """DFS from a start state; True when exhausted within budget."""
         weights, deadline, max_nodes = self.weights, self.deadline, self.max_nodes
-        kernel = self.kernel
-        table, row_of, fill, narrow = kernel.table, kernel.row, kernel.fill, kernel.narrow
+        table, completions, narrow = self.table, self.kernel.completions, self.narrow
         nodes, prunes, best_value = self.nodes, self.prunes, self.best_value
         acc = self._acc(chosen)
         # frame d: (cands, acc, memo level d, chosen[d]); the start's frames never pop
@@ -239,7 +272,7 @@ class _Engine:
                         stack.append((cands, acc, level, p))
                         keep = level.get(p)
                         if keep is None:  # extend the deepest window level holding p
-                            row, k = table[p] or row_of(p), len(stack) - 1
+                            k = len(stack) - 1
                             j, bottom = k - 1, (k - 1 - _MEMO_WINDOW if k > _MEMO_WINDOW else 0)
                             while j > bottom:
                                 keep = stack[j][2].get(p)
@@ -249,10 +282,13 @@ class _Engine:
                             else:  # none holds p: level bottom from scratch
                                 j = bottom
                                 keep = narrow(-1, [frame[3] for frame in stack[:j]], p)
+                            row = table[p]  # made by the narrow that began p's memo
                             while j < k:
                                 a = stack[j][3]
                                 slot = row[a]
-                                keep &= fill(a, p) if slot is None else slot
+                                if slot is None:
+                                    slot = row[a] = ~completions(a, p)
+                                keep &= slot
                                 j += 1
                                 stack[j][2][p] = keep
                         cands &= keep
@@ -270,7 +306,7 @@ class _Engine:
 
         When the root's bound cannot beat the seed, the root is one pruned node.
         """
-        full, narrow = self.kernel.full, self.kernel.narrow
+        full, narrow = self.kernel.full, self.narrow
         root = full if self.weights is None else self._acc(range(full.bit_length()))
         if seconds and root.bit_count() <= self.best_value:
             return self.run([], full)
@@ -308,27 +344,8 @@ class SearchResult:
 
 def greedy_lower_bound(instance: Instance) -> list[int]:
     """Lexicographically first maximal family, as point indices."""
-    return _greedy(CompletionKernel(instance.features(instance.points())))
-
-
-def _greedy(
-    kernel: CompletionKernel,
-    deadline: float | None = None,
-    chosen: list[int] | None = None,
-    max_size: float = inf,
-) -> list[int]:
-    """Lex-first maximal family, built in chosen (a new list by default).
-
-    chosen grows in place, so an interrupt, the deadline or max_size leaves
-    a free prefix in it.
-    """
-    chosen = [] if chosen is None else chosen
-    cands = kernel.full
-    while cands and len(chosen) < max_size and (deadline is None or time.monotonic() <= deadline):
-        p = (cands & -cands).bit_length() - 1
-        cands = kernel.narrow(cands & cands - 1, chosen, p)
-        chosen.append(p)
-    return chosen
+    kernel = CompletionKernel(instance.features(instance.points()))
+    return _Engine(kernel, DEFAULT_NODE_BUDGET, None).greedy()
 
 
 def _solve(
@@ -354,7 +371,7 @@ def _solve(
     engine = _Engine(kernel, max_nodes, deadline, weights=kernel.rows if union else None)
     seed = [0] if union and points else []
     try:
-        engine.seed(seed if union else _greedy(kernel, deadline, seed, max_nodes))
+        engine.seed(seed if union else engine.greedy(seed))
         # exact per the two-point argument on VectorInstance; over no points
         # only the family-size search counts the empty root as a node
         if anchor and (points or union):

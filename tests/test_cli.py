@@ -341,6 +341,19 @@ class TestConjectureCommand:
         code, _, err = run(capsys, "conjecture", "scan", "--k", "x", "--m", "4")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("search", "vectors", "--moduli", "3,x"), "bad moduli list '3,x'"),
+            (("conjecture", "scan", "--k", "1..x", "--m", "4"), "bad range '1..x'"),
+            (("conjecture", "scan", "--k", "3..1", "--m", "4"), "empty range '3..1'"),
+        ],
+    )
+    def test_bad_lists_and_ranges_exit_2_with_empty_stdout(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err
+
 
 class TestCliContract:
     def test_unknown_command_is_usage_error(self, capsys):

@@ -81,6 +81,10 @@ class TestMaxUnion:
         with pytest.raises(TooLarge):
             max_union(6, 24, point_ceiling=1000)
 
+    def test_default_point_ceiling_refuses_c_75_3(self):
+        with pytest.raises(TooLarge, match="67525 points, ceiling is 65536"):
+            max_union(3, 75)
+
     def test_node_budget_degrades_gracefully(self):
         # the unbudgeted run needs 234 nodes
         rep = max_union(2, 8, max_nodes=50)

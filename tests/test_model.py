@@ -90,6 +90,10 @@ class TestParseVectorFamily:
         with pytest.raises(DuplicateMember):
             parse_vector_family("0,1\n0,1\n", (3, 3))
 
+    def test_non_integer_coordinate(self):
+        with pytest.raises(ArityMismatch, match="line 2: non-integer coordinate"):
+            parse_vector_family("0,1\n0,x\n", (3, 3))
+
 
 class TestSetFamily:
     def test_equality_ignores_labels(self):
@@ -154,6 +158,24 @@ class TestVectorFamily:
             VectorFamily(mv, ((0, 5),))
         with pytest.raises(DuplicateMember):
             VectorFamily(mv, ((0, 1), (0, 1)))
+
+    def test_to_text_parse_round_trip(self):
+        fam = VectorFamily(ModulusVector((3, 4)), ((0, 3), (2, 1)))
+        assert fam.to_text() == "0,3\n2,1\n"
+        assert parse_vector_family(fam.to_text(), (3, 4)) == fam
+
+    def test_json_round_trip(self):
+        fam = VectorFamily(ModulusVector((3, 4)), ((0, 3), (2, 1)))
+        payload = fam.to_json_dict()
+        assert payload == {"moduli": [3, 4], "members": [[0, 3], [2, 1]]}
+        assert VectorFamily.from_json_dict(json.loads(json.dumps(payload))) == fam
+
+    @pytest.mark.parametrize("key", ["moduli", "members"])
+    def test_from_json_dict_needs_both_keys(self, key):
+        payload = {"moduli": [3], "members": [[0]]}
+        del payload[key]
+        with pytest.raises(DomainError, match="needs 'moduli' and 'members'"):
+            VectorFamily.from_json_dict(payload)
 
 
 class TestPartiteStructure:

@@ -49,6 +49,17 @@ def test_bounds_grid_rows(capsys):
     assert {r["tighter"] for r in rows} <= {"main", "threshold"}
 
 
+@pytest.mark.parametrize(
+    "argv,message", [(["--k", "6..2"], "empty range '6..2'"), (["--m", "4..x"], "bad range '4..x'")]
+)
+def test_bounds_grid_rejects_a_reversed_or_bad_range(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        load("bounds_grid").main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert message in captured.err
+
+
 def test_j_curve_rows(capsys):
     rows = run(capsys, "j_curve", ["--q-min", "3", "--q-max", "5"])
     assert [r["q"] for r in rows] == ["3", "4", "5"]

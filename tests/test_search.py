@@ -42,7 +42,7 @@ from sunflower import (
 )
 from sunflower import search
 from sunflower.detect import CompletionKernel
-from sunflower.search import _TIME_CHECK_STRIDE, _Engine, _greedy
+from sunflower.search import _TIME_CHECK_STRIDE, _Engine
 
 
 class TestKnownMaxima:
@@ -124,6 +124,11 @@ class TestSearchMechanics:
         with pytest.raises(TooLarge):
             max_sunflower_free_vectors((4, 4, 4, 4, 4), point_ceiling=1000)
 
+    def test_default_point_ceiling_refuses_z2_to_the_17(self):
+        # refused before the kernel over 131,072 points is built
+        with pytest.raises(TooLarge, match="ceiling is 65536"):
+            max_sunflower_free_vectors((2,) * 17)
+
     def test_engine_depth_is_not_bounded_by_the_recursion_limit(self):
         class NoCompletions(CompletionKernel):  # as in Z2^n, where no triple is a sunflower
             def completions(self, i, j):
@@ -168,7 +173,7 @@ class TestSearchMechanics:
         inst = VectorInstance(as_modulus_vector((3, 3, 3, 3)))
         kernel = CompletionKernel(inst.features(inst.points()))
         engine = _Engine(kernel, max_nodes, deadline=reads - 1.5)
-        engine.seed(_greedy(kernel))
+        engine.seed(_Engine(kernel, max_nodes, None).greedy())
         ticks = itertools.count()  # one tick per clock read; read `reads` passes it
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=ticks.__next__))
         assert engine.run_anchored(inst.canonical_second_points()) is False
@@ -195,10 +200,10 @@ class TestSearchMechanics:
     def test_greedy_past_its_deadline_returns_its_prefix(self, monkeypatch):
         inst = VectorInstance(as_modulus_vector((3, 3, 3)))
         kernel = CompletionKernel(inst.features(inst.points()))
-        full = _greedy(kernel)
+        full = _Engine(kernel, 10**9, None).greedy()
         ticks = itertools.count()  # one tick per clock read
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=ticks.__next__))
-        assert _greedy(kernel, deadline=3.5) == full[:4]
+        assert _Engine(kernel, 10**9, deadline=3.5).greedy() == full[:4]
 
     def test_greedy_includes_count_against_the_node_budget(self):
         # unbudgeted, greedy alone takes a minute and picks all 4,096 points
@@ -214,7 +219,7 @@ class TestSearchMechanics:
     def test_greedy_stops_at_max_size(self):
         inst = VectorInstance(as_modulus_vector((3, 3, 3)))
         kernel = CompletionKernel(inst.features(inst.points()))
-        assert _greedy(kernel, max_size=5) == _greedy(kernel)[:5]
+        assert _Engine(kernel, 5, None).greedy() == _Engine(kernel, 10**9, None).greedy()[:5]
 
     @staticmethod
     def interrupt_after(monkeypatch, calls):
@@ -333,7 +338,7 @@ class TestPathMemo:
         points = inst.points()
         kernel = CompletionKernel(inst.features(points))
         engine = _Engine(kernel, 10**9, None, weights=kernel.rows if union else None)
-        engine.seed([0] if union else _greedy(kernel))
+        engine.seed([0] if union else engine.greedy())
         engine.run_anchored(inst.canonical_second_points())
         return engine.nodes, engine.prunes, engine.best
 
@@ -392,8 +397,11 @@ class TestVerify:
     def test_all_of_z2_to_the_8_is_free(self):
         inst = VectorInstance(as_modulus_vector((2,) * 8))
         assert verify_family_points(inst, inst.points()) == (True, None)
-        r = max_sunflower_free_vectors((2,) * 8, time_limit=1)
+        # greedy's 256 includes and the one pruned root fit the budget exactly
+        r = max_sunflower_free_vectors((2,) * 8, max_nodes=256)
         assert r.maximum == 256 and r.optimal
+        assert r.nodes_explored == 1 and r.stats["greedy_size"] == 256
+        assert not max_sunflower_free_vectors((2,) * 8, max_nodes=255).optimal
 
     def test_independent_of_the_completion_kernel(self, monkeypatch):
         def refuse(self, i, j):
@@ -420,6 +428,14 @@ class TestVerify:
         fam = VectorFamily(ModulusVector((3,)), ((0,),))
         with pytest.raises(DomainError):
             verify_family(inst, fam)
+
+    def test_vector_family_over_matching_moduli(self):
+        inst = VectorInstance(as_modulus_vector((3, 3)))
+        free = VectorFamily(ModulusVector((3, 3)), ((0, 0), (0, 1), (1, 0), (1, 1)))
+        assert verify_family(inst, free) == (True, None)
+        bad = VectorFamily(ModulusVector((3, 3)), ((0, 0), (0, 1), (1, 1), (2, 2)))
+        ok, witness = verify_family(inst, bad)
+        assert not ok and witness.indices == (0, 2, 3)
 
     def test_uniform_family_membership(self):
         inst = UniformInstance(2, 4)
@@ -623,27 +639,28 @@ class TestPairMasks:
     """Every pair's completion mask, pinned to a definitional brute force."""
 
     @staticmethod
-    def assert_masks_match(inst, is_sunflower, kernel=None):
+    def assert_masks_match(inst, is_sunflower, mask=None):
         pts = inst.points()
-        kernel = kernel or CompletionKernel(inst.features(pts))
+        mask = mask or CompletionKernel(inst.features(pts)).completions
         for i, j in itertools.combinations(range(len(pts)), 2):
             expected = sum(
                 1 << l
                 for l in range(len(pts))
                 if l not in (i, j) and is_sunflower(pts[i], pts[j], pts[l])
             )
-            assert ~kernel.narrow(-1, (i,), j) == expected, (pts[i], pts[j])
+            assert mask(i, j) == expected, (pts[i], pts[j])
 
     @pytest.mark.parametrize("moduli", [(3, 3, 3), (2, 2, 3)])
     def test_masks_after_greedy_and_search_fills(self, moduli):
         # greedy and the engine fill table slots first; narrow must read them back
         inst = VectorInstance(as_modulus_vector(moduli))
         kernel = CompletionKernel(inst.features(inst.points()))
-        chosen = _greedy(kernel)
         engine = _Engine(kernel, 200, None)
-        engine.seed(chosen)
+        engine.seed(engine.greedy())
         engine.run([], kernel.full)
-        self.assert_masks_match(inst, brute_is_sunflower_vectors, kernel)
+        self.assert_masks_match(
+            inst, brute_is_sunflower_vectors, lambda i, j: ~engine.narrow(-1, (i,), j)
+        )
 
     @pytest.mark.parametrize("moduli", [(2, 3), (3, 4), (2, 2, 3), (3, 3, 3)])
     def test_vector_instances(self, moduli):
