@@ -2,7 +2,10 @@
 
 Runs the branch-and-bound search on every cell of a small census (cyclic
 products and uniform families), then reports the maximum, the node count,
-and the slack against the tightest applicable bound.  Everything here
+and the slack against one bound per cell: the generalized Naslund-Sawin
+bound when every modulus is at least 3, the slice bound below when some
+modulus is 2, and the Erdos-Rado threshold for uniform cells.  That bound
+is not always the tightest one `compare_bounds` knows.  Everything here
 finishes in seconds; the point is to eyeball how loose the bounds are at
 desk scale.
 """

@@ -76,12 +76,13 @@ def erdos_rado_threshold(k: int, t: int) -> Fraction:
 def kostochka_value(k: int, t: int = 3, alpha: float = 2.0, constant: float = 1.0) -> float:
     """constant * k! * ((ln ln ln k)^2 / (alpha * ln ln k))^k, in log-space.
 
-    The multiplicative constant of the cited theorem is unspecified, so it
-    is an explicit caller parameter; reports built from this value flag it
-    as holding only up to that constant.  Natural logarithms throughout.
+    The cited theorem is about 3-sunflowers only, so t must be 3.  Its
+    multiplicative constant is unspecified, so it is an explicit caller
+    parameter; reports built from this value flag it as holding only up to
+    that constant.  Natural logarithms throughout.
     """
-    if t <= 2:
-        raise DomainError("t must exceed 2")
+    if t != 3:
+        raise DomainError("the bound is stated for t = 3 only")
     if alpha <= 1.0:
         raise DomainError("alpha must exceed 1")
     if constant <= 0.0:
@@ -294,7 +295,7 @@ def crt_bound(
     formula mode evaluates ((prod_i J(p_i^a_i)) m)^n; a bare factor 2 has no
     J bound and is rejected.  recursive mode multiplies caller-supplied
     bounds per prime-power factor (exact search values, ns_vector_bound
-    values, and so on), staying exact when every supplied value is an int.
+    values with their radii, and so on), exact when every value is an int.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
@@ -317,17 +318,18 @@ def crt_bound(
         if factor_bounds is None:
             raise DomainError("recursive mode needs per-factor bounds")
         value: int | float = 1
+        upper: int | float = 1  # prod of |factor| + radius: the product is within upper - |value|
         exact = True
         for p, a in fac.pairs:
             q = p**a
             if q not in factor_bounds:
                 raise DomainError(f"no bound supplied for factor {q}")
-            fb = factor_bounds[q]
+            fb, fr = factor_bounds[q], 0
             if isinstance(fb, ApproxValue):
-                fb = fb.value
+                fb, fr = fb.value, fb.radius
             if not isinstance(fb, int):
                 exact = False
-            value = value * fb
+            value, upper = value * fb, upper * (abs(fb) + fr)
         params["factors"] = tuple(fac.prime_powers())
         if exact:
             return BoundReport(
@@ -337,12 +339,13 @@ def crt_bound(
                 exactness=EXACT_INT,
                 flags=("caller-supplied-factors",),
             )
+        upper = float(upper) * (1.0 + 8.0 * _EPS * (1 + len(fac.pairs)))  # plus rounding
         return BoundReport(
             name="crt-product",
             parameters=params,
             value=float(value),
             exactness=FLOAT_APPROX,
-            radius=abs(float(value)) * 8.0 * _EPS * (1 + len(fac.pairs)),
+            radius=upper - abs(float(value)) if upper < math.inf else math.inf,
             flags=("caller-supplied-factors",),
         )
     raise UsageError(f"unknown crt_bound mode {mode!r}")
@@ -492,6 +495,7 @@ def _compare_uniform_bounds(k: int, M: int) -> list[BoundReport]:
             strictness="exceeding-forces-sunflower",
         ),
         main_bound(k, M),
+        BoundReport("ns-subset", {"n": M}, ns_subset_bound(M), EXACT_INT),
     ]
     if k >= 16:
         kv = kostochka_value(k)

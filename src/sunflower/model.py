@@ -319,6 +319,10 @@ class BoundReport:
     def numeric(self) -> float:
         return float(self.value)
 
+    def admits(self, size: int) -> bool:
+        """Whether a family of this size is consistent with the bound, radius included."""
+        return size <= self.value + (self.radius or 0)
+
     def to_json_dict(self) -> dict:
         if isinstance(self.value, Fraction):
             value = f"{self.value.numerator}/{self.value.denominator}"

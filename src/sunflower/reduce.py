@@ -410,7 +410,7 @@ def pipeline(
         "generalized_ns": len(t_family) <= gen_ns,
     }
     if not degenerate:
-        certificates["main_bound"] = len(f) <= mb.value
+        certificates["main_bound"] = mb.admits(len(f))
 
     return PipelineTrace(
         input_size=len(f),

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import comb, prod
 from typing import Mapping, Sequence
@@ -421,35 +420,20 @@ def _run_search(
 
 
 def _bound_checks(instance: Instance, maximum: int) -> tuple[dict, ...]:
-    checks: list[dict] = []
+    """The unflagged compare_bounds reports for moduli, or (k, M = m), each with ``ok``.
 
-    def add(name: str, value, ok: bool) -> None:
-        checks.append({"name": name, "value": value, "ok": bool(ok)})
-
+    Flags (degenerate-zero, up-to-unspecified-constant) mark no checkable
+    inequality; contexts compare_bounds rejects (n = 0, m < k) get no checks.
+    """
     if isinstance(instance, VectorInstance):
-        mv = instance.moduli
-        if mv.n >= 1 and all(d >= 3 for d in mv):
-            g = _bounds.generalized_ns_bound(mv)
-            add("generalized-ns", g, maximum <= g)
-        distinct = set(mv)
-        if mv.n >= 1 and len(distinct) == 1:
-            d = next(iter(distinct))
-            if d > 2:
-                nsv = _bounds.ns_vector_bound(d, mv.n)
-                add("ns-vector", nsv.value, maximum <= nsv.value + nsv.radius)
-                if _bounds.factorize(d).is_prime_power:
-                    eg = _bounds.eg_vector_bound(d, mv.n)
-                    add("eg-vector", eg.value, maximum <= eg.value + eg.radius)
+        if instance.moduli.n == 0:
+            return ()
+        reports = _bounds.compare_bounds(instance.moduli)
+    elif instance.m < instance.k:
+        return ()
     else:
-        er = _bounds.erdos_rado_threshold(instance.k, 3)
-        add(
-            "erdos-rado-threshold",
-            f"{er.numerator}/{er.denominator}" if er.denominator != 1 else er.numerator,
-            Fraction(maximum) <= er,
-        )
-        ns = _bounds.ns_subset_bound(instance.m)
-        add("ns-subset", ns, maximum <= ns)
-    return tuple(checks)
+        reports = _bounds.compare_bounds(k=instance.k, M=instance.m)
+    return tuple({**r.to_json_dict(), "ok": r.admits(maximum)} for r in reports if not r.flags)
 
 
 def max_sunflower_free_vectors(

@@ -89,6 +89,39 @@ def _free_vectors(points, idxs) -> bool:
 
 
 def brute_max_free(points, kind) -> tuple[int, tuple[int, ...]]:
+    """Maximum sunflower-free subfamily by a lex-order walk over free index sets.
+
+    Freeness is hereditary, so every free index tuple extends a free one a
+    point shorter: the walk visits each free tuple once, in lexicographic
+    order with prefixes first, and tests with the definitional predicate
+    only the triples that the last index adds.  Within one size that order
+    is itertools.combinations' order, so the first tuple of the largest
+    size is the lexicographically smallest maximum one, as in
+    brute_max_free_descent.
+    """
+    if kind == "sets":
+        def sunflower(x, y, z):
+            return len({x, y, z}) == 3 and brute_is_sunflower_sets((x, y, z))
+    else:
+        def sunflower(x, y, z):
+            return len({x, y, z}) == 3 and brute_is_sunflower_vectors(x, y, z)
+
+    best: tuple[int, ...] = ()
+
+    def walk(chosen):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+        for q in range(chosen[-1] + 1 if chosen else 0, len(points)):
+            if not any(sunflower(points[a], points[b], points[q])
+                       for a, b in itertools.combinations(chosen, 2)):
+                walk(chosen + (q,))
+
+    walk(())
+    return len(best), best
+
+
+def brute_max_free_descent(points, kind) -> tuple[int, tuple[int, ...]]:
     """Maximum sunflower-free subfamily by exhaustive descent.
 
     Scans sizes from |points| down; within a size, itertools.combinations

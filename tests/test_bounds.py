@@ -103,6 +103,12 @@ class TestKostochka:
             kostochka_value(18, constant=7.0), 7 * kostochka_value(18), rel=1e-12
         )
 
+    def test_only_three_sunflowers(self):
+        for t in (2, 4, 5):
+            with pytest.raises(DomainError):
+                kostochka_value(20, t=t)
+        assert kostochka_value(20, t=3) == kostochka_value(20)
+
 
 class TestNsSubsetBound:
     def test_formula(self):
@@ -278,6 +284,18 @@ class TestCrtBound:
         assert r.exactness == EXACT_INT
         assert "caller-supplied-factors" in r.flags
 
+    def test_recursive_mode_carries_the_factor_radii(self):
+        # certified: the relative radius covers each factor's own relative radius
+        factors = {3: ns_vector_bound(3, 2), 5: ns_vector_bound(5, 2)}
+        r = crt_bound(15, 2, mode="recursive", factor_bounds=factors)
+        assert r.exactness == FLOAT_APPROX
+        assert r.value == factors[3].value * factors[5].value
+        own = sum(f.radius / f.value for f in factors.values())
+        assert r.radius / r.value >= own + 8 * sys.float_info.epsilon
+        wide = {3: bounds.ApproxValue(2.0, 1.0), 5: bounds.ApproxValue(3.0, 1.0)}
+        w = crt_bound(15, 1, mode="recursive", factor_bounds=wide)
+        assert w.value - w.radius <= 1.0 * 2.0 and w.value + w.radius >= 3.0 * 4.0
+
     def test_recursive_mode_missing_factor(self):
         with pytest.raises(DomainError):
             crt_bound(15, 1, mode="recursive", factor_bounds={3: 2})
@@ -397,6 +415,8 @@ class TestCompareBounds:
         assert reports["erdos-rado-threshold"].strictness == "exceeding-forces-sunflower"
         assert "main-bound" in reports
         assert "kostochka" not in reports  # below the k floor
+        ns = reports["ns-subset"]  # k-sets of [M] are subsets of [M]
+        assert (ns.value, ns.exactness, ns.parameters) == (ns_subset_alt(6), EXACT_INT, {"n": 6})
 
     def test_kostochka_appears_with_flag(self):
         reports = {r.name: r for r in compare_bounds(k=16, M=40)}

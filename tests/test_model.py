@@ -237,6 +237,14 @@ class TestBoundReport:
         assert d["value"] == 42
         assert "approx" not in d
 
+    def test_admits_up_to_value_plus_radius(self):
+        f = BoundReport(name="x", parameters={}, value=10.25, exactness=FLOAT_APPROX, radius=0.75)
+        assert f.admits(11) and not f.admits(12)
+        i = BoundReport(name="x", parameters={}, value=42, exactness=EXACT_INT)
+        assert i.admits(42) and not i.admits(43)
+        q = BoundReport(name="x", parameters={}, value=Fraction(7, 2), exactness=EXACT_RATIONAL)
+        assert q.admits(3) and not q.admits(4)
+
     def test_fraction_parameters_serialize_as_ratio_strings(self):
         r = BoundReport(
             name="x",

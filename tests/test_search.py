@@ -17,9 +17,12 @@ from oracles import (
     brute_is_sunflower_sets,
     brute_is_sunflower_vectors,
     brute_max_free,
+    brute_max_free_descent,
 )
 
 from sunflower import (
+    EXACT_INT,
+    BoundReport,
     DomainError,
     ModulusVector,
     SetFamily,
@@ -31,6 +34,7 @@ from sunflower import (
     VectorInstance,
     as_modulus_vector,
     cnf_satisfiable,
+    compare_bounds,
     dump_json,
     export_cnf,
     greedy_lower_bound,
@@ -100,6 +104,62 @@ class TestAgainstExhaustiveOracle:
         r = max_sunflower_free_uniform(k, m)
         assert r.maximum == size
         assert r.witness_indices == idxs
+
+
+class TestBoundChecks:
+    """bound_checks are the unflagged compare_bounds reports of the context, each with ok."""
+
+    @staticmethod
+    def unflagged(reports):
+        return [{**r.to_json_dict(), "ok": True} for r in reports if not r.flags]
+
+    @pytest.mark.parametrize("moduli", [(3, 3, 3), (3, 3, 4), (4, 4, 4)])
+    def test_vectors(self, moduli):
+        r = max_sunflower_free_vectors(moduli)
+        assert r.optimal
+        assert list(r.bound_checks) == self.unflagged(compare_bounds(moduli))
+
+    def test_uniform(self):
+        r = max_sunflower_free_uniform(3, 7)
+        assert list(r.bound_checks) == self.unflagged(compare_bounds(k=3, M=7))
+        assert {c["name"] for c in r.bound_checks} == {
+            "erdos-rado-threshold", "main-bound", "ns-subset"
+        }
+
+    def test_contexts_compare_bounds_rejects_or_leaves_empty_get_none(self):
+        assert max_sunflower_free_vectors((2, 3, 3)).bound_checks == ()
+        assert max_sunflower_free_vectors(()).bound_checks == ()
+        r = max_sunflower_free_uniform(3, 2)
+        assert r.optimal and r.bound_checks == ()
+
+    def test_degenerate_main_bound_is_left_out(self):
+        r = max_sunflower_free_uniform(2, 2)
+        assert r.optimal
+        assert [c["name"] for c in r.bound_checks] == ["erdos-rado-threshold", "ns-subset"]
+
+    def test_a_failing_check_raises(self, monkeypatch):
+        low = BoundReport(name="too-low", parameters={}, value=3, exactness=EXACT_INT)
+        monkeypatch.setattr(search._bounds, "compare_bounds", lambda *a, **kw: [low])
+        with pytest.raises(SunflowerError, match="too-low"):
+            max_sunflower_free_vectors((3, 3))
+
+
+class TestFreeSetWalk:
+    """The oracle's walk over free index sets against the subset descent."""
+
+    @pytest.mark.parametrize(
+        "moduli", [(3,), (2, 3), (2, 2, 2), (3, 3), (2, 2, 3), (3, 4), (2, 6)]
+    )
+    def test_vectors(self, moduli):
+        points = list(itertools.product(*(range(d) for d in moduli)))
+        for order in (points, points[::-1]):
+            assert brute_max_free(order, "vectors") == brute_max_free_descent(order, "vectors")
+
+    @pytest.mark.parametrize("km", [(1, 4), (2, 4), (2, 5), (3, 4), (3, 5)])
+    def test_sets(self, km):
+        points = [frozenset(c) for c in itertools.combinations(range(km[1]), km[0])]
+        for order in (points, points[::-1]):
+            assert brute_max_free(order, "sets") == brute_max_free_descent(order, "sets")
 
 
 class TestSearchMechanics:
