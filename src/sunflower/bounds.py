@@ -440,7 +440,8 @@ def compare_bounds(moduli=None, k: int | None = None, M: int | None = None) -> l
     """Every applicable bound for one context, sorted ascending by value.
 
     Context is either a moduli vector (vector families) or the pair (k, M)
-    (k-uniform families on M elements).
+    (k-uniform families on M elements).  A context with no coordinate, or
+    with M < k, has no bounds and raises UsageError or DomainError.
     """
     if moduli is not None and (k is not None or M is not None):
         raise UsageError("give either moduli or (k, M), not both")
@@ -481,7 +482,7 @@ def _compare_vector_bounds(mv: ModulusVector) -> list[BoundReport]:
             if factorize(d).is_prime_power:
                 eg = eg_vector_bound(d, mv.n)
                 reports.append(_approx_report("eg-vector", {"q": d, "n": mv.n}, eg))
-    reports.sort(key=lambda r: (r.numeric(), r.name))
+    reports.sort(key=lambda r: (r.value, r.name))  # exact: no float overflow
     return reports
 
 
@@ -495,8 +496,11 @@ def _compare_uniform_bounds(k: int, M: int) -> list[BoundReport]:
             strictness="exceeding-forces-sunflower",
         ),
         main_bound(k, M),
-        BoundReport("ns-subset", {"n": M}, ns_subset_bound(M), EXACT_INT),
     ]
+    # ns_subset_bound(1107) is the last below the largest double; past it the
+    # exact value, about 2^(0.92 M), only grows in digits and in cost
+    if M <= 1107:
+        reports.append(BoundReport("ns-subset", {"n": M}, ns_subset_bound(M), EXACT_INT))
     if k >= 16:
         kv = kostochka_value(k)
         reports.append(
@@ -509,5 +513,5 @@ def _compare_uniform_bounds(k: int, M: int) -> list[BoundReport]:
                 flags=("up-to-unspecified-constant",),
             )
         )
-    reports.sort(key=lambda r: (r.numeric(), r.name))
+    reports.sort(key=lambda r: (r.value, r.name))  # exact: no float overflow
     return reports

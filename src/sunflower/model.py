@@ -317,7 +317,11 @@ class BoundReport:
             raise DomainError(f"unknown exactness class {self.exactness!r}")
 
     def numeric(self) -> float:
-        return float(self.value)
+        """float(value), saturating to inf where an exact value passes the double range."""
+        try:
+            return float(self.value)
+        except OverflowError:
+            return math.inf if self.value > 0 else -math.inf
 
     def admits(self, size: int) -> bool:
         """Whether a family of this size is consistent with the bound, radius included."""
@@ -326,7 +330,7 @@ class BoundReport:
     def to_json_dict(self) -> dict:
         if isinstance(self.value, Fraction):
             value = f"{self.value.numerator}/{self.value.denominator}"
-            approx = float(self.value)
+            approx = self.numeric()
         elif isinstance(self.value, bool):  # guard: bools are ints
             raise DomainError("bound value cannot be boolean")
         elif isinstance(self.value, int):

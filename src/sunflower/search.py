@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 from . import bounds as _bounds
 from .detect import CompletionKernel, find_sunflower_sets, find_sunflower_vectors_lookup
 from .detect import vector_features
-from .errors import DomainError, SunflowerError, TooLarge
+from .errors import DomainError, SunflowerError, TooLarge, UsageError
 from .model import (
     EXACT_INT,
     ModulusVector,
@@ -423,16 +423,16 @@ def _bound_checks(instance: Instance, maximum: int) -> tuple[dict, ...]:
     """The unflagged compare_bounds reports for moduli, or (k, M = m), each with ``ok``.
 
     Flags (degenerate-zero, up-to-unspecified-constant) mark no checkable
-    inequality; contexts compare_bounds rejects (n = 0, m < k) get no checks.
+    inequality; a context compare_bounds rejects gets no checks.
     """
     if isinstance(instance, VectorInstance):
-        if instance.moduli.n == 0:
-            return ()
-        reports = _bounds.compare_bounds(instance.moduli)
-    elif instance.m < instance.k:
-        return ()
+        context = {"moduli": instance.moduli}
     else:
-        reports = _bounds.compare_bounds(k=instance.k, M=instance.m)
+        context = {"k": instance.k, "M": instance.m}
+    try:
+        reports = _bounds.compare_bounds(**context)
+    except (DomainError, UsageError):
+        return ()
     return tuple({**r.to_json_dict(), "ok": r.admits(maximum)} for r in reports if not r.flags)
 
 

@@ -418,6 +418,22 @@ class TestCompareBounds:
         ns = reports["ns-subset"]  # k-sets of [M] are subsets of [M]
         assert (ns.value, ns.exactness, ns.parameters) == (ns_subset_alt(6), EXACT_INT, {"n": 6})
 
+    def test_ns_subset_only_while_it_fits_a_double(self):
+        assert float(ns_subset_alt(1107)) < math.inf
+        with pytest.raises(OverflowError):
+            float(ns_subset_alt(1108))
+        assert "ns-subset" in {r.name for r in compare_bounds(k=3, M=1107)}
+        reports = compare_bounds(k=3, M=1200)
+        assert [r.name for r in reports] == ["erdos-rado-threshold", "main-bound"]
+
+    def test_values_past_the_double_range_sort_and_serialize(self):
+        # 151! 2^151 exceeds the largest double
+        reports = compare_bounds(k=151, M=152)
+        assert [r.value for r in reports] == sorted(r.value for r in reports)
+        er = reports[-1]
+        assert er.name == "erdos-rado-threshold"
+        assert er.numeric() == math.inf and er.to_json_dict()["approx"] == math.inf
+
     def test_kostochka_appears_with_flag(self):
         reports = {r.name: r for r in compare_bounds(k=16, M=40)}
         assert "kostochka" in reports

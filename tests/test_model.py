@@ -231,6 +231,13 @@ class TestBoundReport:
         assert d["approx"] == 3.5
         assert r.numeric() == 3.5
 
+    def test_numeric_saturates_past_the_double_range(self):
+        r = BoundReport(name="x", parameters={}, value=2**1024, exactness=EXACT_INT)
+        assert r.numeric() == float("inf")
+        big = Fraction(-(2**1100), 3)
+        q = BoundReport(name="x", parameters={}, value=big, exactness=EXACT_RATIONAL)
+        assert q.numeric() == float("-inf")
+
     def test_int_passthrough(self):
         r = BoundReport(name="x", parameters={}, value=42, exactness=EXACT_INT)
         d = r.to_json_dict()

@@ -137,6 +137,13 @@ class TestBoundChecks:
         assert r.optimal
         assert [c["name"] for c in r.bound_checks] == ["erdos-rado-threshold", "ns-subset"]
 
+    @pytest.mark.parametrize("km", [(1, 1200), (151, 151)])
+    def test_values_past_the_double_range(self, km):
+        # ns-subset of [1200] and the erdos-rado value at k = 151 exceed the largest double
+        r = max_sunflower_free_uniform(*km)
+        assert r.optimal and r.bound_checks
+        assert all(c["ok"] for c in r.bound_checks)
+
     def test_a_failing_check_raises(self, monkeypatch):
         low = BoundReport(name="too-low", parameters={}, value=3, exactness=EXACT_INT)
         monkeypatch.setattr(search._bounds, "compare_bounds", lambda *a, **kw: [low])
