@@ -73,14 +73,7 @@ def erdos_rado_threshold(k: int, t: int) -> Fraction:
     return math.factorial(k) * Fraction(t - 1) ** k * (1 - correction)
 
 
-def kostochka_value(k: int, t: int = 3, alpha: float = 2.0, constant: float = 1.0) -> float:
-    """constant * k! * ((ln ln ln k)^2 / (alpha * ln ln k))^k, in log-space.
-
-    The cited theorem is about 3-sunflowers only, so t must be 3.  Its
-    multiplicative constant is unspecified, so it is an explicit caller
-    parameter; reports built from this value flag it as holding only up to
-    that constant.  Natural logarithms throughout.
-    """
+def _kostochka(k: int, t: int = 3, alpha: float = 2.0, constant: float = 1.0) -> ApproxValue:
     if t != 3:
         raise DomainError("the bound is stated for t = 3 only")
     if alpha <= 1.0:
@@ -91,14 +84,25 @@ def kostochka_value(k: int, t: int = 3, alpha: float = 2.0, constant: float = 1.
         raise DomainError("need ln ln ln k > 0, which requires k >= 16")
     loglog = math.log(math.log(k))
     logloglog = math.log(loglog)
-    total = (
-        math.log(constant)
-        + math.lgamma(k + 1)
-        + k * (2.0 * math.log(logloglog) - math.log(alpha * loglog))
-    )
-    if total > _EXP_OVERFLOW:
-        return math.inf
-    return math.exp(total)
+    terms = [
+        math.log(constant),
+        math.lgamma(k + 1),
+        k * (2.0 * math.log(logloglog) - math.log(alpha * loglog)),
+    ]
+    # the nested logs scale the rounding of ln ln k by 1 / (loglog logloglog)
+    # in log(logloglog), a term counted 2k times (logloglog is 0.0196 at k = 16)
+    return _exp_with_radius(terms, extra_rel=8.0 * _EPS * k / (loglog * logloglog))
+
+
+def kostochka_value(k: int, t: int = 3, alpha: float = 2.0, constant: float = 1.0) -> float:
+    """constant * k! * ((ln ln ln k)^2 / (alpha * ln ln k))^k, in log-space.
+
+    The cited theorem is about 3-sunflowers only, so t must be 3.  Its
+    multiplicative constant is unspecified, so it is an explicit caller
+    parameter; reports built from this value flag it as holding only up to
+    that constant.  Natural logarithms throughout.
+    """
+    return _kostochka(k, t, alpha, constant).value
 
 
 def ns_subset_bound(n: int) -> int:
@@ -147,27 +151,22 @@ class JMinimizationResult:
         }
 
 
-_GRID_POINTS = 256
-_J_REL_TOL = 1e-6  # golden-section stop, relative to 1 - x
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _j_log_objective(x: float, q: int) -> float:
-    # log f(x) = log(1 - x^q) - log(1 - x) - ((q-1)/3) log x, via log1p/expm1
-    # so the near-1 cancellations stay accurate.
-    xq = math.exp(q * math.log(x))
-    return math.log1p(-xq) - math.log1p(-x) - ((q - 1) / 3.0) * math.log(x)
+_J_REL_TOL = 1e-6  # bisection stop, relative to s* (about 2.15 / q)
 
 
 def j_constant(q: int, tol: float = 1e-12) -> JMinimizationResult:
-    """Minimize the J objective by a bisected 256-point grid plus golden section.
+    """Minimize the J objective by bisection on the sign of its slope.
 
-    In t = log x the log objective log(sum_{i<q} e^{it}) - (q-1) t / 3 is
-    strictly convex, so bisecting its forward difference on the grid i / 257
-    finds the first grid minimum in 16 evaluations.  Golden section shrinks
-    the bracket of its neighbours (up to 1 past the last) below tol in x and
-    below _J_REL_TOL of its distance to 1 (1 - x_star is about 2.15 / q), or
-    to two units in the last place.  q is capped at 2^53, the last q that
+    With x = exp(-s) the log objective is
+    phi(s) = log(-expm1(-q s)) - log(-expm1(-s)) + (q-1) s / 3, which is
+    log(sum_{i<q} e^{-i s}) + (q-1) s / 3 and so strictly convex.  Its slope
+    phi'(s) = q / expm1(q s) - 1 / expm1(s) + (q-1)/3 is negative at s = 1/q
+    and positive at s = 3/q, so bisection keeps the root bracketed until the
+    bracket is below tol (the x bracket is no wider than the s bracket) and
+    below _J_REL_TOL of s, or until no double lies between its ends.  By
+    convexity phi(s) - min phi <= |phi'(s)| |s - s_root|, and the radius is
+    J (|phi'(s)| (hi - lo) + 64 eps magnitude), the last term being the
+    rounding budget of the evaluation.  q is capped at 2^53, the last q that
     is exact as a double.
     """
     if q < 2:
@@ -177,47 +176,27 @@ def j_constant(q: int, tol: float = 1e-12) -> JMinimizationResult:
     if tol < 1e-12:
         raise DomainError("tolerance below 1e-12 is not supported")
 
-    width = _GRID_POINTS + 1.0
-    lo, hi = 1, _GRID_POINTS  # the first k with f(k / 257) <= f((k + 1) / 257), else 256
-    while lo < hi:
-        mid = (lo + hi) // 2
-        rises = _j_log_objective(mid / width, q) <= _j_log_objective((mid + 1) / width, q)
-        lo, hi = (lo, mid) if rises else (mid + 1, hi)
-    a, b = max(lo - 1, 0.5) / width, (lo + 1) / width  # b = 1 past the last: never evaluated
+    def slope(s: float) -> float:
+        return q / math.expm1(q * s) - 1.0 / math.expm1(s) + (q - 1) / 3.0
 
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = _j_log_objective(c, q)
-    fd = _j_log_objective(d, q)
-    for _ in range(300):
-        width = b - a  # tol first: the relative tests cost more and matter only near 1
-        if width <= tol and (width <= (1.0 - a) * _J_REL_TOL or width <= 2.0 * math.ulp(b)):
+    lo, hi = 1.0 / q, 3.0 / q
+    while hi - lo > tol or hi - lo > lo * _J_REL_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = _j_log_objective(c, q)
+        if slope(mid) < 0.0:
+            lo = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = _j_log_objective(d, q)
+            hi = mid
 
-    x_star = 0.5 * (a + b)
-    log_f = _j_log_objective(x_star, q)
-    j_value = math.exp(log_f) / q
-
-    # Radius: spread of the objective across a step as wide as the final
-    # bracket can be, plus the rounding budget of the evaluation itself.
-    delta = max(min(max(tol, 1e-9), (1.0 - x_star) * _J_REL_TOL), 2.0 * math.ulp(x_star))
-    probe_lo = max(x_star - delta, x_star / 2.0)
-    probe_hi = min(x_star + delta, (1.0 + x_star) / 2.0)
-    spread = max(
-        abs(_j_log_objective(probe_lo, q) - log_f),
-        abs(_j_log_objective(probe_hi, q) - log_f),
+    s = 0.5 * (lo + hi)
+    terms = (
+        math.log(-math.expm1(-q * s)), -math.log(-math.expm1(-s)), (q - 1) * s / 3.0, -math.log(q)
     )
-    magnitude = abs(log_f) + ((q - 1) / 3.0) * abs(math.log(x_star)) + 2.0
-    radius = j_value * (spread + 64.0 * _EPS * magnitude)
-    return JMinimizationResult(q=q, x_star=x_star, j_value=j_value, error_radius=radius)
+    j_value = math.exp(math.fsum(terms))
+    magnitude = math.fsum(abs(t) for t in terms) + 1.0
+    radius = j_value * (abs(slope(s)) * (hi - lo) + 64.0 * _EPS * magnitude)
+    return JMinimizationResult(q=q, x_star=math.exp(-s), j_value=j_value, error_radius=radius)
 
 
 @dataclass(frozen=True)
@@ -487,29 +466,32 @@ def _compare_vector_bounds(mv: ModulusVector) -> list[BoundReport]:
 
 
 def _compare_uniform_bounds(k: int, M: int) -> list[BoundReport]:
-    reports = [
-        BoundReport(
-            name="erdos-rado-threshold",
-            parameters={"k": k, "t": 3},
-            value=erdos_rado_threshold(k, 3),
-            exactness=EXACT_RATIONAL,
-            strictness="exceeding-forces-sunflower",
-        ),
-        main_bound(k, M),
-    ]
+    reports = [main_bound(k, M)]
+    # the threshold's numerator at k = 1423 is the last that Python prints
+    # within its 4,300-digit int-to-str limit
+    if k <= 1423:
+        reports.append(
+            BoundReport(
+                name="erdos-rado-threshold",
+                parameters={"k": k, "t": 3},
+                value=erdos_rado_threshold(k, 3),
+                exactness=EXACT_RATIONAL,
+                strictness="exceeding-forces-sunflower",
+            )
+        )
     # ns_subset_bound(1107) is the last below the largest double; past it the
     # exact value, about 2^(0.92 M), only grows in digits and in cost
     if M <= 1107:
         reports.append(BoundReport("ns-subset", {"n": M}, ns_subset_bound(M), EXACT_INT))
     if k >= 16:
-        kv = kostochka_value(k)
+        kv = _kostochka(k)
         reports.append(
             BoundReport(
                 name="kostochka",
                 parameters={"k": k, "t": 3, "alpha": 2.0, "constant": 1.0},
-                value=kv,
+                value=kv.value,
                 exactness=FLOAT_APPROX,
-                radius=kv * 1e-12,
+                radius=kv.radius,
                 flags=("up-to-unspecified-constant",),
             )
         )

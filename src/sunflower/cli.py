@@ -379,8 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     bounds_p.set_defaults(handler=_cmd_bounds)
     bsubs = bounds_p.add_subparsers(dest="bounds_cmd", metavar="[j]")
     b_j = bsubs.add_parser("j", help="minimize the J objective", formatter_class=_formatter)
-    b_j.add_argument("--q", type=int, required=True)
-    b_j.add_argument("--tol", type=float, default=1e-12)
+    b_j.add_argument("--q", type=int, required=True, help="the base q, from 2 to 2^53")
+    b_j.add_argument("--tol", type=float, default=1e-12,
+                     help="bracket width in x at which to stop, at least 1e-12 (default 1e-12)")
     b_j.set_defaults(handler=_cmd_bounds)
 
     reduce_p = subs.add_parser("reduce", help="structural reductions",

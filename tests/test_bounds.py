@@ -109,6 +109,17 @@ class TestKostochka:
                 kostochka_value(20, t=t)
         assert kostochka_value(20, t=3) == kostochka_value(20)
 
+    @pytest.mark.parametrize("k", [16, 100, 306, 10**4])
+    def test_report_radius_covers_high_precision(self, k):
+        # 306 is the last k whose value is a finite double
+        report = {r.name: r for r in compare_bounds(k=k, M=k + 1)}["kostochka"]
+        ref = mp_kostochka(k)
+        if report.value == math.inf:
+            assert report.radius == math.inf and ref > sys.float_info.max
+        else:
+            assert report.value == kostochka_value(k)
+            assert abs(report.value - float(ref)) <= report.radius <= report.value * 1e-11
+
 
 class TestNsSubsetBound:
     def test_formula(self):
@@ -156,54 +167,53 @@ class TestJConstant:
         assert abs(r.j_value - 0.9184) <= 5e-5
 
     def test_against_high_precision(self):
-        for q in (2, 3, 5, 8, 64):
+        for q in (2, 3, 5, 8, 64, 1103, 2048, 10**4, 10**5, 2 * 10**6, 10**12, 10**13, 2**53):
             _, ref = mp_j_constant(q)
             r = j_constant(q)
-            assert abs(r.j_value - float(ref)) <= r.error_radius + 1e-10
+            assert abs(r.j_value - float(ref)) <= r.error_radius <= 1e-11
             assert 0 < r.x_star < 1
 
     @pytest.mark.parametrize("q", [1103, 2048, 10**4, 10**5, 2 * 10**6])
     def test_large_q_against_high_precision(self, q):
-        # the minimizer lies past the last grid point 256/257 from q = 1103 on
+        # from q = 1103 on the minimizer lies past 256/257, so any fixed
+        # grid of that size misses it
         _, ref = mp_j_constant(q)
         r = j_constant(q)
-        assert abs(r.j_value - float(ref)) <= r.error_radius <= 1e-6
+        assert abs(r.j_value - float(ref)) <= r.error_radius <= 1e-11
         assert 256 / 257 < r.x_star < 1
 
     @pytest.mark.parametrize("q,tol", [(10**12, 1e-6), (10**12, 1e-12), (10**13, 1e-12), (2**53, 1e-12)])
     def test_minimizer_near_one_against_high_precision(self, q, tol):
-        # the bracket's stop rule follows 1 - x_star, about 2.15 / q
+        # the bracket's stop rule follows s* = -log x_star, about 2.15 / q
         _, ref = mp_j_constant(q)
         r = j_constant(q, tol)
-        assert abs(r.j_value - float(ref)) <= r.error_radius
-        if q <= 10**13:
-            assert r.error_radius <= 1e-6
+        assert abs(r.j_value - float(ref)) <= r.error_radius <= 1e-11
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        e=st.floats(min_value=1.0, max_value=53.0),
+        tol=st.sampled_from([1e-12, 1e-3]),
+    )
+    def test_property_radius_covers_high_precision(self, e, tol):
+        q = min(max(round(2.0**e), 2), 2**53)  # log-uniform over 2..2^53
+        _, ref = mp_j_constant(q)
+        r = j_constant(q, tol)
+        assert abs(r.j_value - float(ref)) <= r.error_radius <= 1e-11
+
+    def test_slope_root_is_bracketed_by_one_and_three_over_q(self):
+        # with x = exp(-s) the log objective has slope
+        # q / expm1(q s) - 1 / expm1(s) + (q - 1) / 3; it changes sign
+        # between s = 1/q and s = 3/q, where the bisection starts
+        def slope(q, s):
+            return q / math.expm1(q * s) - 1.0 / math.expm1(s) + (q - 1) / 3.0
+
+        edges = [2**e + d for e in range(2, 54) for d in (-1, 0, 1) if 2**e + d <= 2**53]
+        for q in [*range(2, 10**5 + 1), *edges]:
+            assert slope(q, 1.0 / q) < 0.0 < slope(q, 3.0 / q), q
 
     def test_q_beyond_double_precision_is_a_domain_error(self):
         with pytest.raises(DomainError):
             j_constant(10**16)
-
-    def test_bisection_picks_the_full_scan_grid_minimum(self, monkeypatch):
-        # The first two golden-section probes are fixed by the bracket around
-        # the chosen grid point, so they pin it against a full 256-point scan.
-        objective = bounds._j_log_objective
-        grid = [i / 257.0 for i in range(1, 257)]
-        seen = []
-
-        def record(x, q):
-            seen.append(x)
-            return objective(x, q)
-
-        monkeypatch.setattr(bounds, "_j_log_objective", record)
-        for q in range(2, 2001):
-            values = [objective(x, q) for x in grid]
-            best = min(range(256), key=lambda i: (values[i], i))
-            a = grid[best - 1] if best > 0 else grid[0] / 2.0
-            b = grid[best + 1] if best < 255 else 1.0
-            seen.clear()
-            j_constant(q)
-            assert all(x in grid for x in seen[:16])
-            assert seen[16:18] == [b - bounds._INVPHI * (b - a), a + bounds._INVPHI * (b - a)]
 
     def test_decreasing_spot_checks(self):
         assert j_constant(3).j_value > j_constant(4).j_value > j_constant(16).j_value
@@ -425,6 +435,15 @@ class TestCompareBounds:
         assert "ns-subset" in {r.name for r in compare_bounds(k=3, M=1107)}
         reports = compare_bounds(k=3, M=1200)
         assert [r.name for r in reports] == ["erdos-rado-threshold", "main-bound"]
+
+    def test_threshold_only_while_its_numerator_prints(self):
+        # Python refuses int-to-str past 4,300 digits; k = 1423 is the last
+        # threshold whose "p/q" fits
+        names = [r.name for r in compare_bounds(k=1423, M=1424)]
+        assert "erdos-rado-threshold" in names
+        assert len(str(erdos_rado_threshold(1423, 3).numerator)) == 4300
+        reports = compare_bounds(k=1424, M=1425)
+        assert [r.name for r in reports] == ["kostochka", "main-bound"]
 
     def test_values_past_the_double_range_sort_and_serialize(self):
         # 151! 2^151 exceeds the largest double

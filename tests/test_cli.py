@@ -91,6 +91,13 @@ class TestBoundsCommand:
         assert lines[0].startswith("name")
         assert any("generalized-ns" in l for l in lines)
 
+    def test_large_k_prints_without_the_threshold(self, capsys):
+        # the threshold's "p/q" would pass Python's 4,300-digit limit
+        code, out, err = run(capsys, "bounds", "--k", "1424", "--M", "1425")
+        assert code == 0 and "Traceback" not in err
+        names = [r["name"] for r in json.loads(out)]
+        assert names == ["kostochka", "main-bound"]
+
     def test_j_subcommand(self, capsys):
         code, out, _ = run(capsys, "bounds", "j", "--q", "3")
         assert code == 0
@@ -99,7 +106,7 @@ class TestBoundsCommand:
         assert payload["exactness"] == "float"
 
     def test_j_subcommand_past_the_grid(self, capsys):
-        # the minimizer of q = 2048 lies past the last grid point 256/257;
+        # the minimizer of q = 2048 lies past 256/257, beyond a 256-point grid;
         # 0.8415814688892821 is mp_j_constant(2048) of tests/oracles.py
         code, out, _ = run(capsys, "bounds", "j", "--q", "2048")
         assert code == 0

@@ -1,10 +1,15 @@
 import csv
 import importlib.util
 import io
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from oracles import mp_j_constant
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 
@@ -65,3 +70,6 @@ def test_j_curve_rows(capsys):
     assert [r["q"] for r in rows] == ["3", "4", "5"]
     js = [float(r["j"]) for r in rows]
     assert all(0 < j < 1 for j in js) and js == sorted(js, reverse=True)
+    for row, j in zip(rows, js):
+        _, ref = mp_j_constant(int(row["q"]))
+        assert abs(j - float(ref)) <= float(row["radius"]) <= 1e-11
