@@ -15,8 +15,9 @@ search narrows through a lazy table of completions that it owns.
 
 Searches scan index combinations in lexicographic order, so the witness
 returned is always the lexicographically smallest one.  The definitional
-scans, find_sunflower_sets and the pair-lookup find_sunflower_vectors_lookup,
-read no feature bitset; they are the path that verifies search answers.
+scans, find_sunflower_sets (pairwise ANDs of member bitsets it builds itself)
+and the pair-lookup find_sunflower_vectors_lookup, use no CompletionKernel;
+they are the path that verifies search answers.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ def is_sunflower_sets(sets: Sequence[frozenset]) -> bool:
 def find_sunflower_sets(family: SetFamily, t: int = 3) -> SunflowerWitness | None:
     """First t-sunflower in index-lexicographic order, or None.
 
+    Distinct sets, as bitsets, form a sunflower iff every pairwise AND is one
+    value K; a tuple with union U stays one with C iff C & U == K.
     For t >= 4 the scan refuses families above GENERAL_T_MEMBER_CAP members;
     the combination count grows too fast to pretend otherwise.
     """
@@ -61,11 +64,21 @@ def find_sunflower_sets(family: SetFamily, t: int = 3) -> SunflowerWitness | Non
             f"t={t} scan capped at {GENERAL_T_MEMBER_CAP} members, got {len(family)}"
         )
     members = family.members
-    for idx in combinations(range(len(members)), t):
-        chosen = [members[i] for i in idx]
-        kernel = kernel_of(chosen)
-        if all(a & b == kernel for a, b in combinations(chosen, 2)):
-            return SunflowerWitness(idx, kernel=kernel)
+    ids = {e: i for i, e in enumerate(sorted(family.universe))}
+    rows = [bitset([ids[e] for e in mem]) for mem in members]
+
+    def extend(idx: tuple[int, ...], kernel: int, union: int) -> tuple[int, ...] | None:
+        if len(idx) == t:
+            return idx
+        for l in range(idx[-1] + 1, len(rows)):
+            if rows[l] & union == kernel and (found := extend((*idx, l), kernel, union | rows[l])):
+                return found
+        return None
+
+    for i, j in combinations(range(len(rows)), 2):
+        idx = extend((i, j), rows[i] & rows[j], rows[i] | rows[j])
+        if idx:
+            return SunflowerWitness(idx, kernel=kernel_of([members[i] for i in idx]))
     return None
 
 

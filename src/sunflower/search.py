@@ -18,13 +18,14 @@ features, cached in the engine's lazy table: row p, made when point p is
 first narrowed, holds at each chosen a < p the complement of the
 completions of (a, p), filled on first read.  Greedy and the anchored
 starts narrow with _Engine.narrow; the walk keeps a path memo so that an
-include ANDs one memo entry instead of every chosen point's slot (see
-_Engine).  Answers are verified with the definitional scans of detect (for
-vectors the pair lookup, quadratic when no column holds more than 3
-values), never with that kernel.  One driver, _solve, runs every
-search.  time_limit is one deadline, set at call start, and max_nodes one
-budget, for greedy's includes and the engine's nodes; an interrupt during
-either returns the incumbent unproved, as a budget exit does.
+include ANDs one memo entry instead of every chosen point's slot, and
+settles a leaf or pruned child without pushing it (see _Engine).  Answers
+are verified with the definitional scans of detect (for vectors the pair
+lookup, quadratic when no column holds more than 3 values), never with that
+kernel.  One driver, _solve, runs every search.  time_limit is one
+deadline, set at call start, and max_nodes one budget, for greedy's
+includes and the engine's nodes; an interrupt during either returns the
+incumbent unproved, as a budget exit does.
 """
 
 from __future__ import annotations
@@ -145,6 +146,14 @@ class UniformInstance:
 Instance = VectorInstance | UniformInstance
 
 
+def _union_bound(weights: Sequence[int], acc: int, cands: int) -> int:
+    """popcount of acc with every candidate's weight."""
+    while cands:
+        acc |= weights[(cands & -cands).bit_length() - 1]
+        cands &= cands - 1
+    return acc.bit_count()
+
+
 class _Engine:
     """Include-first branch and bound on an explicit stack of resume frames.
 
@@ -152,9 +161,13 @@ class _Engine:
     weights and cands the admissible points above the last chosen one.  A
     node whose popcount(acc) beats the incumbent is recorded; one whose
     bound (popcount(acc) + |cands| without weights, else acc with every
-    candidate's weight) cannot beat it is pruned.  Including a point pushes
-    the parent's (cands, acc) with its memo level and the point; popping it
-    resumes the parent with that point excluded.
+    candidate's weight) cannot beat it is pruned.  Nodes count one per
+    visit.  An include tests the narrowed child at once: a leaf or pruned
+    child is counted there with the parent's next node (that point
+    excluded: the parent's value, no incumbent test), when both come before
+    the next budget or clock read, and the scan goes on over the parent's
+    cands.  Any other child pushes the parent's (cands, acc) with its memo
+    level and the point; popping it resumes the parent without that point.
 
     table[p][a] = ~kernel.completions(a, p): row p is made on first use and
     slot a filled on first read, by narrow or by the memo walk.  greedy, the
@@ -165,7 +178,8 @@ class _Engine:
     A new level starts empty whenever chosen[d - 1] is set.  On a miss the
     include extends the deepest of the _MEMO_WINDOW levels below k that
     holds p, ANDing only the missing slots and storing each level on the
-    way up; when none holds it, narrow computes the level at the window's
+    way up to, not into, level k (its later readers ask for points above
+    p); when none holds it, narrow computes the level at the window's
     bottom from scratch.  AND is associative, so every node, prune and
     incumbent is that of narrowing over all of chosen, while levels outside
     the window, never written, keep memory bounded on deep paths.
@@ -234,7 +248,8 @@ class _Engine:
         acc = self._acc(chosen)
         # frame d: (cands, acc, memo level d, chosen[d]); the start's frames never pop
         stack: list[tuple[int, int, dict[int, int], int]] = [(0, 0, {}, a) for a in chosen]
-        start, level = len(stack), {}
+        # bound is that of the current cands; with weights it is kept until they change
+        start, level, bound = len(stack), {}, None
         check = nodes  # the next node count that reads the clock or the budget
         try:
             while True:
@@ -253,50 +268,67 @@ class _Engine:
                 if value > best_value:
                     best_value = value
                     self.best = [frame[3] for frame in stack]
-                if cands:
+                while cands:  # this node, then each exclude node after a settled child
                     if weights is None:
                         bound = value + cands.bit_count()  # cands lie above acc's bits
-                    else:
-                        bound, rest = acc, cands
-                        while rest:
-                            bound |= weights[(rest & -rest).bit_length() - 1]
-                            rest &= rest - 1
-                        bound = bound.bit_count()
+                    elif bound is None:
+                        bound = _union_bound(weights, acc, cands)
                     if bound <= best_value:
                         prunes += 1
-                    else:
-                        low = cands & -cands
-                        p = low.bit_length() - 1
-                        cands ^= low
-                        stack.append((cands, acc, level, p))
-                        keep = level.get(p)
-                        if keep is None:  # extend the deepest window level holding p
-                            k = len(stack) - 1
-                            j, bottom = k - 1, (k - 1 - _MEMO_WINDOW if k > _MEMO_WINDOW else 0)
-                            while j > bottom:
-                                keep = stack[j][2].get(p)
-                                if keep is not None:
-                                    break
-                                j -= 1
-                            else:  # none holds p: level bottom from scratch
-                                j = bottom
-                                keep = narrow(-1, [frame[3] for frame in stack[:j]], p)
-                            row = table[p]  # made by the narrow that began p's memo
-                            while j < k:
-                                a = stack[j][3]
-                                slot = row[a]
-                                if slot is None:
-                                    slot = row[a] = ~completions(a, p)
-                                keep &= slot
-                                j += 1
-                                stack[j][2][p] = keep
-                        cands &= keep
-                        level = {}  # memo level k + 1 reads chosen[k], now p
-                        acc |= low if weights is None else weights[p]
+                        cands = 0  # done: the else clause resumes the parent
                         continue
-                if len(stack) == start:
-                    return True
-                cands, acc, level, _ = stack.pop()
+                    low = cands & -cands
+                    p = low.bit_length() - 1
+                    cands ^= low
+                    keep = level.get(p)
+                    if keep is None:  # extend the deepest window level below k holding p
+                        k = len(stack)
+                        j, bottom = k - 1, (k - 1 - _MEMO_WINDOW if k > _MEMO_WINDOW else 0)
+                        while j > bottom:
+                            keep = stack[j][2].get(p)
+                            if keep is not None:
+                                break
+                            j -= 1
+                        else:  # none holds p: level bottom from scratch
+                            j = bottom
+                            keep = narrow(-1, [frame[3] for frame in stack[:j]], p)
+                        row = table[p]  # made by the narrow that began p's memo
+                        while j < k:  # no later read asks level k for p: it is not stored
+                            a = stack[j][3]
+                            slot = row[a]
+                            if slot is None:
+                                slot = row[a] = ~completions(a, p)
+                            keep &= slot
+                            j += 1
+                            if j < k:
+                                stack[j][2][p] = keep
+                    child = cands & keep
+                    if weights is None:
+                        grown, gain = acc | low, value + 1
+                        bound = gain + child.bit_count()
+                    else:
+                        grown = acc | weights[p]
+                        gain, bound = grown.bit_count(), _union_bound(weights, grown, child)
+                    # a leaf or pruned child (bound == gain: no candidate adds to it),
+                    # when its node and this node's next, without p, come before check
+                    if nodes + 1 < check and (bound <= best_value or bound == gain):
+                        nodes += 2
+                        if gain > best_value:
+                            best_value = gain
+                            self.best = [frame[3] for frame in stack]
+                            self.best.append(p)
+                        if child:
+                            prunes += 1
+                        bound = None
+                        continue
+                    stack.append((cands, acc, level, p))
+                    cands, acc, level = child, grown, {}  # level k + 1 reads chosen[k], now p
+                    break
+                else:
+                    if len(stack) == start:
+                        return True
+                    cands, acc, level, _ = stack.pop()
+                    bound = None
         finally:
             self.nodes, self.prunes, self.best_value = nodes, prunes, best_value
 

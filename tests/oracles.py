@@ -172,7 +172,7 @@ def brute_cover_count(members) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("the full family always covers its own union")
 
 
-def brute_branch_and_bound(points, kind, start, incumbent, union=False):
+def brute_branch_and_bound(points, kind, start, incumbent, union=False, max_nodes=None):
     """(nodes, prunes, best) of the engine's include-first walk, rebuilt plainly.
 
     Recursive, with candidates narrowed by the definitional triple test over
@@ -181,6 +181,8 @@ def brute_branch_and_bound(points, kind, start, incumbent, union=False):
     with every candidate) cannot beat the best, else includes its lowest
     candidate and afterwards resumes without it.  Candidates start above the
     last point of start, restricted to those closing no sunflower with it.
+    With max_nodes, the node after the budget is counted and nothing more is
+    done: the walk stops there with max_nodes + 1 nodes and its incumbent.
     """
     sets = kind == "sets"
     test = brute_is_sunflower_sets if sets else (lambda t: brute_is_sunflower_vectors(*t))
@@ -196,7 +198,13 @@ def brute_branch_and_bound(points, kind, start, incumbent, union=False):
 
     stats = {"nodes": 0, "prunes": 0, "best": list(incumbent), "value": value(incumbent)}
 
+    class OutOfBudget(Exception):
+        pass
+
     def visit(chosen, cands):
+        if max_nodes is not None and stats["nodes"] >= max_nodes:
+            stats["nodes"] += 1
+            raise OutOfBudget
         stats["nodes"] += 1
         if value(chosen) > stats["value"]:
             stats["value"], stats["best"] = value(chosen), list(chosen)
@@ -211,7 +219,10 @@ def brute_branch_and_bound(points, kind, start, incumbent, union=False):
         visit(chosen, rest)
 
     above = start[-1] + 1 if start else 0
-    visit(list(start), [q for q in range(above, len(points)) if admissible(list(start), q)])
+    try:
+        visit(list(start), [q for q in range(above, len(points)) if admissible(list(start), q)])
+    except OutOfBudget:
+        pass
     return stats["nodes"], stats["prunes"], stats["best"]
 
 

@@ -267,6 +267,26 @@ class TestFastMatchesNaive:
                 assert mine.indices == ref
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_property_wide_families_match_definitional_scan(data):
+    # members are [m] less a hole of at most 3 points of a short window, so
+    # they hold up to ~150 elements and three are a sunflower iff the
+    # pairwise unions of their holes agree
+    m = data.draw(st.integers(4, 152), label="m")
+    width = data.draw(st.integers(3, min(m, 8)), label="window")
+    lo = data.draw(st.integers(0, m - width), label="window start")
+    hole = st.frozensets(st.integers(lo, lo + width - 1), max_size=3)
+    holes = data.draw(st.lists(hole, min_size=2, max_size=10, unique=True), label="holes")
+    members = [frozenset(range(m)) - h for h in holes]
+    t = data.draw(st.integers(2, 4), label="t")
+    found = find_sunflower_sets(SetFamily(tuple(members), None), t)
+    ref = brute_find_sunflower_sets(members, t)
+    assert (found and found.indices) == ref
+    if found is not None:
+        assert found.kernel == frozenset.intersection(*(members[i] for i in ref))
+
+
 @given(
     st.lists(
         st.frozensets(st.integers(0, 7), min_size=0, max_size=4),

@@ -23,6 +23,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [  # (name, argv, exit code)
     ("search-vectors-333", ["search", "vectors", "--moduli", "3,3,3"], 0),
     ("search-vectors-334", ["search", "vectors", "--moduli", "3,3,4"], 0),
+    ("search-vectors-444", ["search", "vectors", "--moduli", "4,4,4"], 0),
     ("search-vectors-3333-budget",
      ["search", "vectors", "--moduli", "3,3,3,3", "--budget-nodes", "20000"], 0),
     ("search-vectors-2223-no-anchor",

@@ -401,26 +401,30 @@ class TestPathMemo:
     """The engine's walk, node for node, against a plain recursive one."""
 
     @staticmethod
-    def engine_walk(inst, union):
+    def engine_walk(inst, union, max_nodes=10**9):
         points = inst.points()
         kernel = CompletionKernel(inst.features(points))
-        engine = _Engine(kernel, 10**9, None, weights=kernel.rows if union else None)
-        engine.seed([0] if union else engine.greedy())
-        engine.run_anchored(inst.canonical_second_points())
-        return engine.nodes, engine.prunes, engine.best
+        engine = _Engine(kernel, max_nodes, None, weights=kernel.rows if union else None)
+        engine.seed([0] if union else greedy_lower_bound(inst))  # greedy outside the budget
+        exhausted = engine.run_anchored(inst.canonical_second_points())
+        return engine.nodes, engine.prunes, engine.best, exhausted
 
     @staticmethod
-    def plain_walk(inst, union):
+    def plain_walk(inst, union, max_nodes=10**9):
         points = inst.points()
         kind = "vectors" if isinstance(inst, VectorInstance) else "sets"
         if kind == "sets":
             points = [frozenset(p) for p in points]
         best = [0] if union else greedy_lower_bound(inst)
         nodes = prunes = 0
-        for c in inst.canonical_second_points():
-            n, r, best = brute_branch_and_bound(points, kind, [0, c], best, union)
+        for c in inst.canonical_second_points():  # the starts share one budget
+            n, r, best = brute_branch_and_bound(
+                points, kind, [0, c], best, union, max_nodes - nodes
+            )
             nodes, prunes = nodes + n, prunes + r
-        return nodes, prunes, best
+            if nodes > max_nodes:
+                break
+        return nodes, prunes, best, nodes <= max_nodes
 
     @pytest.mark.parametrize(
         "inst,union",
@@ -438,6 +442,26 @@ class TestPathMemo:
         # a memo level left holding the narrowing of an earlier sibling's
         # path would change candidates, and so nodes, prunes or the witness
         assert self.engine_walk(inst, union) == self.plain_walk(inst, union)
+
+    @pytest.mark.parametrize(
+        "inst,union,step",
+        [
+            (VectorInstance(as_modulus_vector((3, 3))), False, 1),
+            (VectorInstance(as_modulus_vector((2, 3))), False, 1),
+            (UniformInstance(2, 5), False, 1),
+            (UniformInstance(2, 7), True, 1),
+            (UniformInstance(3, 6), False, 23),
+            (VectorInstance(as_modulus_vector((3, 3, 3))), False, 1543),
+        ],
+    )
+    def test_budget_exits_match_the_plain_walk(self, inst, union, step):
+        # the engine settles leaf and pruned children at their parent's
+        # include; a budget exit must still land on the plain walk's node
+        total = self.engine_walk(inst, union)[0]
+        for max_nodes in sorted({*range(0, total, step), total - 1, total}):
+            engine = self.engine_walk(inst, union, max_nodes)
+            assert engine == self.plain_walk(inst, union, max_nodes), max_nodes
+            assert engine[3] == (max_nodes == total)
 
 
 class TestVerify:
