@@ -29,6 +29,7 @@ CASES = [  # (name, argv, exit code)
     ("search-vectors-2223-no-anchor",
      ["search", "vectors", "--moduli", "2,2,2,3", "--no-anchor"], 0),
     ("search-uniform-3-7", ["search", "uniform", "--k", "3", "--m", "7"], 0),
+    ("search-uniform-3-8", ["search", "uniform", "--k", "3", "--m", "8"], 0),
     ("search-uniform-2-8-budget",
      ["search", "uniform", "--k", "2", "--m", "8", "--budget-nodes", "500"], 0),
     ("search-uniform-2-9-budget",
