@@ -91,7 +91,8 @@ def max_union(
     Runs search's driver with the union objective over the k-subsets in
     lexicographic order: a node's value is the size of the chosen members'
     union, and its bound is that union with every still-admissible member.
-    Seeded with [point 0], it runs with search's two-point anchor and
+    Seeded with [point 0], it runs with search's three-point anchor, whose
+    node [0, c] is visited before its thirds (it can be the witness), and
     shares its point ceiling, budgets and interrupt handling.  The witness
     is the first maximum family in tuple order (a prefix first), verified
     sunflower-free by the driver.

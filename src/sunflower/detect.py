@@ -86,7 +86,8 @@ def find_sunflower_sets_fast(family: SetFamily, t: int = 3) -> SunflowerWitness 
     """Kernel scan for 3-sunflowers; agrees with find_sunflower_sets(family, 3)."""
     if t != 3:
         raise BadArity("the fast path handles only t = 3")
-    hit = next(CompletionKernel(family.members).triples(), None)
+    ids = {e: i for i, e in enumerate(sorted(family.universe))}  # bitsets grow with the ids
+    hit = next(CompletionKernel([[ids[e] for e in mem] for mem in family.members]).triples(), None)
     if hit is None:
         return None
     i, j, _ = hit

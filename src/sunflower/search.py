@@ -11,7 +11,7 @@ strict, and a subtree is pruned only when it cannot beat the incumbent, so
 the family returned is the lexicographically smallest maximum family
 (greedy seeding preserves this: the greedy family is the lex-first maximal
 family, and no maximum family is lex-smaller than it).  An anchored search
-starts only from [0, c], c a canonical second point (see VectorInstance).
+visits only [0, c] and [0, c, d], c and d canonical (see VectorInstance).
 
 Triple constraints come from a detect.CompletionKernel over the points'
 features, cached in the engine's lazy table: row p, made when point p is
@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb, prod
+from operator import mul
 from typing import Mapping, Sequence
 
 from . import bounds as _bounds
@@ -74,15 +75,18 @@ class VectorInstance:
     def point_text(self, point: tuple[int, ...]) -> str:
         return ",".join(str(c) for c in point)
 
-    # Two-point anchor soundness.  A triple is a sunflower unless some
-    # coordinate has exactly two equal values, so permuting the values of any
-    # coordinate, and coordinates of equal modulus, preserves sunflowers; on
-    # k-subsets any permutation of [m] does, and keeps union size.  c(x), for
-    # a point x != 0: for vectors every nonzero value becomes 1, then the 1s
-    # move to the last positions of each class of equal-modulus coordinates;
-    # for k-subsets, with t = |x & {0..k-1}|, c(x) = {0..t-1} | {k..2k-t-1}.
-    # 1. Some symmetry g fixes point 0 and maps x to c(x), and c(x) <= x in
-    #    point (lex) order.
+    # Anchor soundness.  A triple is a sunflower unless some coordinate has
+    # exactly two equal values, so permuting the values of any coordinate,
+    # and coordinates of equal modulus, preserves sunflowers; on k-subsets
+    # any permutation of [m] does, and keeps union size.  c_u(x) is the
+    # least point of x's orbit under the symmetries fixing point 0 and point
+    # u (canonical_points(u)), and c(x) = c_0(x).  Vectors: values outside
+    # {0, u_i} become the least such value, then values are sorted within
+    # each class of coordinates of equal (modulus, u_i).  k-subsets: the
+    # blocks A & u, A - u, u - A and the rest, A = point 0, each keep their
+    # size and take their lowest elements.
+    # 1. Some g fixing point 0 maps x to c(x) <= x in point (lex) order, and
+    #    some h fixing 0 and u maps x to c_u(x) <= x.
     # 2. The witness F* is the first optimal node in include-first preorder:
     #    for family size the lex-smallest maximum family, for union size the
     #    smallest in tuple order, where a prefix comes first.
@@ -91,17 +95,28 @@ class VectorInstance:
     #    x be its second element.
     # 4. g(F*) is also optimal and contains 0.  Its second element is at
     #    most c(x) <= x, so F* being first forces c(x) = x.
-    # So only starts [0, c], c canonical, can hold the witness, and the
-    # witness is unchanged.  Greedy seeding is unaffected.
+    # 5. Let y be F*'s third element and h fix 0 and x with h(y) = c_x(y).
+    #    h(F*) is optimal and holds 0 and x; a second element below x would
+    #    put it before F*, so its second is x and its third at most
+    #    c_x(y) <= y, and F* being first forces c_x(y) = y.
+    # So F* is a node [0, c], c canonical, or lies under a start [0, c, d],
+    # d = c_c(d), which keeps every candidate above d.  Greedy is unaffected.
+    def canonical_points(self, u: tuple[int, ...] | None = None) -> list[int]:
+        """Sorted indices of the points c_u(x), u point 0 by default (see above)."""
+        moduli = self.moduli.moduli
+        classes: dict[tuple[int, int], list[int]] = {}  # (modulus, u_i) -> strides
+        for i, (d, v) in enumerate(zip(moduli, u or [0] * len(moduli))):
+            classes.setdefault((d, v), []).append(prod(moduli[i + 1 :]))
+        offsets = []  # per class, the offsets of its ascending value runs
+        for (d, v), strides in classes.items():
+            values = sorted({0, v, 2 if v == 1 else 1} & set(range(d)))  # 0, u_i, the least other
+            runs = combinations_with_replacement(values, len(strides))
+            offsets.append([sum(map(mul, run, strides)) for run in runs])
+        return sorted(map(sum, product(*offsets)))
+
     def canonical_second_points(self) -> list[int]:
         """Sorted indices of the points c(x), x != 0 (see above)."""
-        moduli = self.moduli.moduli
-        classes: dict[int, list[int]] = {}  # modulus -> strides of its coordinates
-        for i, d in enumerate(moduli):
-            classes.setdefault(d, []).append(prod(moduli[i + 1 :]))
-        # per class, the index offsets of 1s on its last r positions
-        tails = [list(accumulate(reversed(c), initial=0)) for c in classes.values()]
-        return sorted(map(sum, product(*tails)))[1:]
+        return self.canonical_points()[1:]
 
     def features(self, points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         return vector_features(self.moduli, points)
@@ -132,12 +147,24 @@ class UniformInstance:
     def point_text(self, point: tuple[int, ...]) -> str:
         return "{" + ",".join(str(e) for e in point) + "}"
 
-    def canonical_second_points(self) -> list[int]:
-        """Sorted indices of {0..t-1} | {k..2k-t-1}, 0 <= t < k (see VectorInstance)."""
+    def canonical_points(self, u: tuple[int, ...] | None = None) -> list[int]:
+        """Sorted indices of the k-subsets c_u(x), u point 0 by default (see VectorInstance)."""
         k, m, top = self.k, self.m, self.point_count() - 1
-        subsets = ((*range(t), *range(k, 2 * k - t)) for t in range(max(0, 2 * k - m), k))
+        blocks: dict[tuple[bool, bool], list[int]] = {}  # A & u, A - u, u - A, the rest
+        for e in range(m):
+            blocks.setdefault((e < k, e in (u or range(k))), []).append(e)
+        *heads, last = blocks.values()
+        subsets = (
+            sorted(chain(last[: k - sum(ns)], *(b[:n] for b, n in zip(heads, ns))))
+            for ns in product(*(range(len(b) + 1) for b in heads))
+            if 0 <= k - sum(ns) <= len(last)
+        )
         # lex rank of a sorted k-subset s: C(m, k) - 1 - sum_i C(m - 1 - s_i, k - i)
         return sorted(top - sum(comb(m - 1 - e, k - i) for i, e in enumerate(s)) for s in subsets)
+
+    def canonical_second_points(self) -> list[int]:
+        """Sorted indices of {0..t-1} | {k..2k-t-1}, 0 <= t < k (see VectorInstance)."""
+        return self.canonical_points()[1:]
 
     def features(self, points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         return points
@@ -332,16 +359,34 @@ class _Engine:
         finally:
             self.nodes, self.prunes, self.best_value = nodes, prunes, best_value
 
-    def run_anchored(self, seconds: Sequence[int]) -> bool:
-        """Run from [0, c] for each c in order; True when every start is exhausted.
+    def _bound(self, acc: int, cands: int) -> int:
+        if self.weights is None:
+            return acc.bit_count() + cands.bit_count()
+        return _union_bound(self.weights, acc, cands)
 
-        When the root's bound cannot beat the seed, the root is one pruned node.
+    def run_anchored(self, starts: Sequence[tuple[int, Sequence[int]]]) -> bool:
+        """Walk each (c, thirds) in order; True when every start is exhausted.
+
+        Visits [0, c], then scans it over its candidate thirds d: one prune at
+        the first d whose bound from d up cannot beat the incumbent, else the
+        start [0, c, d] with every candidate above d.  A root that cannot beat
+        the seed is one pruned node.
         """
         full, narrow = self.kernel.full, self.narrow
-        root = full if self.weights is None else self._acc(range(full.bit_length()))
-        if seconds and root.bit_count() <= self.best_value:
+        if starts and self._bound(0, full) <= self.best_value:
             return self.run([], full)
-        return all(self.run([0, c], narrow(full >> (c + 1) << (c + 1), [0], c)) for c in seconds)
+        for c, thirds in starts:
+            cands = narrow(full >> (c + 1) << (c + 1), [0], c)
+            if not self.run([0, c], 0):  # the node [0, c], scanned over its thirds below
+                return False
+            for d in thirds:
+                if cands >> d & 1:
+                    if self._bound(self._acc([0, c]), cands >> d << d) <= self.best_value:
+                        self.prunes += 1
+                        break
+                    if not self.run([0, c, d], narrow(cands >> (d + 1) << (d + 1), [0, c], d)):
+                        return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -403,10 +448,11 @@ def _solve(
     seed = [0] if union and points else []
     try:
         engine.seed(seed if union else engine.greedy(seed))
-        # exact per the two-point argument on VectorInstance; over no points
+        # exact per the anchor argument on VectorInstance; over no points
         # only the family-size search counts the empty root as a node
         if anchor and (points or union):
-            optimal = engine.run_anchored(instance.canonical_second_points())
+            seconds = instance.canonical_second_points()
+            optimal = engine.run_anchored([(c, instance.canonical_points(points[c])) for c in seconds])
         else:
             optimal = engine.run([], kernel.full)
     except KeyboardInterrupt:  # engine.best is the seed or better once seeded

@@ -172,7 +172,7 @@ def brute_cover_count(members) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("the full family always covers its own union")
 
 
-def brute_branch_and_bound(points, kind, start, incumbent, union=False, max_nodes=None):
+def brute_branch_and_bound(points, kind, start, incumbent, union=False, max_nodes=None, thirds=None):
     """(nodes, prunes, best) of the engine's include-first walk, rebuilt plainly.
 
     Recursive, with candidates narrowed by the definitional triple test over
@@ -183,6 +183,10 @@ def brute_branch_and_bound(points, kind, start, incumbent, union=False, max_node
     last point of start, restricted to those closing no sunflower with it.
     With max_nodes, the node after the budget is counted and nothing more is
     done: the walk stops there with max_nodes + 1 nodes and its incumbent.
+    With thirds, the start node is counted and then scanned over the
+    candidates d in thirds, in the order given: it is pruned, once, at the
+    first d whose bound with the candidates from d up cannot beat the best,
+    and otherwise walks from start + [d] with every candidate above d.
     """
     sets = kind == "sets"
     test = brute_is_sunflower_sets if sets else (lambda t: brute_is_sunflower_vectors(*t))
@@ -201,7 +205,7 @@ def brute_branch_and_bound(points, kind, start, incumbent, union=False, max_node
     class OutOfBudget(Exception):
         pass
 
-    def visit(chosen, cands):
+    def visit(chosen, cands, thirds=None):
         if max_nodes is not None and stats["nodes"] >= max_nodes:
             stats["nodes"] += 1
             raise OutOfBudget
@@ -210,20 +214,85 @@ def brute_branch_and_bound(points, kind, start, incumbent, union=False, max_node
             stats["value"], stats["best"] = value(chosen), list(chosen)
         if not cands:
             return
-        bound = value(chosen + cands) if union else len(chosen) + len(cands)
-        if bound <= stats["value"]:
-            stats["prunes"] += 1
+
+        def cut(low):  # the bound with the candidates from low up cannot beat the best
+            rest = [q for q in cands if q >= low]
+            bound = value(chosen + rest) if union else len(chosen) + len(rest)
+            if bound <= stats["value"]:
+                stats["prunes"] += 1
+                return True
+            return False
+
+        if thirds is None:
+            if cut(0):
+                return
+            p, rest = cands[0], cands[1:]
+            visit(chosen + [p], [q for q in rest if admissible(chosen + [p], q)])
+            visit(chosen, rest)
             return
-        p, rest = cands[0], cands[1:]
-        visit(chosen + [p], [q for q in rest if admissible(chosen + [p], q)])
-        visit(chosen, rest)
+        for d in thirds:
+            if d in cands:
+                if cut(d):
+                    return
+                grown = chosen + [d]
+                visit(grown, [q for q in cands if q > d and admissible(grown, q)])
 
     above = start[-1] + 1 if start else 0
     try:
-        visit(list(start), [q for q in range(above, len(points)) if admissible(list(start), q)])
+        visit(
+            list(start),
+            [q for q in range(above, len(points)) if admissible(list(start), q)],
+            thirds,
+        )
     except OutOfBudget:
         pass
     return stats["nodes"], stats["prunes"], stats["best"]
+
+
+# ---------------------------------------------------------------- symmetries
+
+
+def brute_vector_symmetries(moduli):
+    """Every sunflower-preserving map of the vectors over moduli, as a function.
+
+    Each is a permutation s of the coordinates that keeps moduli, composed
+    with one permutation of the values of each coordinate: x -> y with
+    y[s[i]] = perm_i[x[i]].
+    """
+    n = len(moduli)
+    coordinate_perms = [
+        s for s in itertools.permutations(range(n)) if all(moduli[s[i]] == moduli[i] for i in range(n))
+    ]
+    value_perms = list(itertools.product(*(list(itertools.permutations(range(d))) for d in moduli)))
+
+    def symmetry(s, perms):
+        def apply(x):
+            y = [0] * n
+            for i, v in enumerate(x):
+                y[s[i]] = perms[i][v]
+            return tuple(y)
+        return apply
+
+    return [symmetry(s, perms) for s in coordinate_perms for perms in value_perms]
+
+
+def brute_set_symmetries(m):
+    """Every permutation of range(m), as a function on sorted tuples."""
+    def symmetry(perm):
+        return lambda x: tuple(sorted(perm[e] for e in x))
+
+    return [symmetry(perm) for perm in itertools.permutations(range(m))]
+
+
+def brute_orbit_minima(points, symmetries, fixed):
+    """Indices of the points first in list order within their orbit.
+
+    The orbits are those of the symmetries that map every point of fixed
+    to itself.
+    """
+    index = {p: i for i, p in enumerate(points)}
+    stabilizer = [g for g in symmetries if all(g(p) == p for p in fixed)]
+    return [i for i, p in enumerate(points) if all(index[g(p)] >= i for g in stabilizer)]
 
 
 # ---------------------------------------------------------------- partitions

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -96,6 +97,17 @@ class TestFindSets:
     def test_fast_none_on_free_family(self):
         f = fam("1 2\n2 3\n1 3\n")
         assert find_sunflower_sets_fast(f) is None
+
+    def test_fast_memory_does_not_grow_with_the_element_ids(self):
+        f = SetFamily(tuple(map(frozenset, ({1, 10**9}, {2}, {3, 10**9}, {4}))), None)
+        tracemalloc.start()
+        try:
+            w = find_sunflower_sets_fast(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # a bitset indexed by the raw ids would take 125 MB
+        assert w == find_sunflower_sets(f, 3) and w.indices == (0, 1, 3)
 
     def test_fast_requires_three_petals(self):
         with pytest.raises(BadArity):

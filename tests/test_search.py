@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import sys
@@ -18,6 +19,9 @@ from oracles import (
     brute_is_sunflower_vectors,
     brute_max_free,
     brute_max_free_descent,
+    brute_orbit_minima,
+    brute_set_symmetries,
+    brute_vector_symmetries,
 )
 
 from sunflower import (
@@ -243,7 +247,7 @@ class TestSearchMechanics:
         engine.seed(_Engine(kernel, max_nodes, None).greedy())
         ticks = itertools.count()  # one tick per clock read; read `reads` passes it
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=ticks.__next__))
-        assert engine.run_anchored(inst.canonical_second_points()) is False
+        assert engine.run_anchored(anchor_starts(inst)) is False
         assert engine.nodes == nodes
         assert next(ticks) == (reads if nodes % _TIME_CHECK_STRIDE == 0 else reads - 1)
 
@@ -348,6 +352,36 @@ class TestSearchMechanics:
         assert len(idxs) >= 1
 
 
+def anchor_starts(inst):
+    """run_anchored's starts, as the search driver builds them."""
+    points = inst.points()
+    return [(c, inst.canonical_points(points[c])) for c in inst.canonical_second_points()]
+
+
+def cell_id(inst):
+    return "-".join(str(v) for v in inst.describe().values())
+
+
+@functools.lru_cache(maxsize=None)
+def orbit_oracle(inst):
+    """Orbit minima (indices) under the symmetries fixing point 0, keyed None,
+    and under those fixing point 0 and c, keyed c, for each such minimum c > 0."""
+    points = inst.points()
+    if isinstance(inst, VectorInstance):
+        symmetries = brute_vector_symmetries(inst.moduli.moduli)
+    else:
+        symmetries = brute_set_symmetries(inst.m)
+    seconds = brute_orbit_minima(points, symmetries, [points[0]])
+    fixing = {c: brute_orbit_minima(points, symmetries, [points[0], points[c]]) for c in seconds[1:]}
+    return {None: seconds, **fixing}
+
+
+ORBIT_CELLS = [
+    *(VectorInstance(as_modulus_vector(m)) for m in [(3, 3), (3, 4), (2, 3, 3), (3, 3, 3), (4, 4, 4)]),
+    *(UniformInstance(k, m) for k, m in [(2, 6), (3, 6), (3, 7), (4, 7)]),
+]
+
+
 class TestSymmetryAnchor:
     @pytest.mark.parametrize(
         "instance,seconds",
@@ -385,10 +419,48 @@ class TestSymmetryAnchor:
         assert max_sunflower_free_uniform(3, 2).stats["anchored"] is False
 
     def test_starts_share_one_node_budget(self):
-        # the starts [0, 1], [0, 4], [0, 13] take 5,491, 2,163 and 83 nodes
-        assert max_sunflower_free_vectors((3, 3, 3), max_nodes=7737).optimal
-        r = max_sunflower_free_vectors((3, 3, 3), max_nodes=6000)
-        assert not r.optimal and r.nodes_explored == 6001
+        # the nodes [0, 1], [0, 4], [0, 13] with their starts take 3,165, 1,028 and 47 nodes
+        assert max_sunflower_free_vectors((3, 3, 3), max_nodes=4240).optimal
+        r = max_sunflower_free_vectors((3, 3, 3), max_nodes=4000)
+        assert not r.optimal and r.nodes_explored == 4001
+
+    @pytest.mark.parametrize("inst", ORBIT_CELLS, ids=cell_id)
+    def test_canonical_points_are_the_orbit_minima(self, inst):
+        oracle = orbit_oracle(inst)
+        assert inst.canonical_points() == oracle[None]
+        points = inst.points()
+        thirds = {c: inst.canonical_points(points[c]) for c in inst.canonical_second_points()}
+        assert thirds == {c: minima for c, minima in oracle.items() if c is not None}
+
+    @staticmethod
+    def unanchored_mismatches(cells, union=False):
+        """The cells whose anchored (maximum, witness) differs from the unanchored ones."""
+        def solve(inst, anchor):
+            _, engine, _, optimal = search._solve(inst, 10**9, None, 2**16, anchor, union)
+            assert optimal
+            return engine.best_value, engine.best
+
+        return [inst for inst in cells if solve(inst, True) != solve(inst, False)]
+
+    # (4, 4, 4) is left out: unanchored, it walks 6.7M nodes
+    WITNESS_CELLS = [inst for inst in ORBIT_CELLS if inst.point_count() < 64] + [
+        VectorInstance(as_modulus_vector(m)) for m in [(3, 4, 3), (2, 2, 2, 3), (4, 4)]
+    ]
+    UNION_CELLS = [UniformInstance(k, m) for k in (2, 3) for m in range(k, 10)]
+
+    def test_three_point_anchor_keeps_the_maximum_and_the_witness(self):
+        assert self.unanchored_mismatches(self.WITNESS_CELLS) == []
+        assert self.unanchored_mismatches(self.UNION_CELLS, union=True) == []
+
+    def test_thirds_under_the_stabilizer_of_point_0_alone_fail_the_witness_test(
+        self, monkeypatch
+    ):
+        # the mutant keeps only thirds that are canonical second points, which
+        # test_three_point_anchor_keeps_the_maximum_and_the_witness must catch
+        for cls in (VectorInstance, UniformInstance):
+            canonical_points = cls.canonical_points
+            monkeypatch.setattr(cls, "canonical_points", lambda self, u=None, f=canonical_points: f(self))
+        assert self.unanchored_mismatches(self.WITNESS_CELLS)
 
     def test_root_that_cannot_beat_the_seed_is_one_pruned_node(self):
         # greedy takes all of Z2^5, so no start [0, c] can beat it
@@ -406,20 +478,21 @@ class TestPathMemo:
         kernel = CompletionKernel(inst.features(points))
         engine = _Engine(kernel, max_nodes, None, weights=kernel.rows if union else None)
         engine.seed([0] if union else greedy_lower_bound(inst))  # greedy outside the budget
-        exhausted = engine.run_anchored(inst.canonical_second_points())
+        exhausted = engine.run_anchored(anchor_starts(inst))
         return engine.nodes, engine.prunes, engine.best, exhausted
 
     @staticmethod
     def plain_walk(inst, union, max_nodes=10**9):
         points = inst.points()
         kind = "vectors" if isinstance(inst, VectorInstance) else "sets"
+        thirds = orbit_oracle(inst)  # from the oracle, not the package
         if kind == "sets":
             points = [frozenset(p) for p in points]
         best = [0] if union else greedy_lower_bound(inst)
         nodes = prunes = 0
-        for c in inst.canonical_second_points():  # the starts share one budget
+        for c in thirds[None][1:]:  # the starts share one budget
             n, r, best = brute_branch_and_bound(
-                points, kind, [0, c], best, union, max_nodes - nodes
+                points, kind, [0, c], best, union, max_nodes - nodes, thirds[c]
             )
             nodes, prunes = nodes + n, prunes + r
             if nodes > max_nodes:
