@@ -6,188 +6,70 @@ coordinate is all-equal or all-distinct.  The package detects such structures,
 evaluates the classical and modern size bounds with explicit exactness tags,
 runs the constructive reduction pipeline from families to rank vectors, and
 computes exact maximum sunflower-free families at desk scale.
+
+Every public name loads its home module on first use (PEP 562): a bare
+``import sunflower`` loads no submodule and costs about a millisecond,
+and building a search instance loads only ``errors``, ``model``,
+``detect`` and ``search``.  ``_EXPORTS`` is the one list of public names,
+grouped by home module; ``__all__`` is derived from it.
 """
 
-from .bounds import (
-    ApproxValue,
-    Factorization,
-    JMinimizationResult,
-    balanced_bound,
-    c_d,
-    compare_bounds,
-    corollary_bound,
-    crt_bound,
-    eg_vector_bound,
-    erdos_rado_threshold,
-    factorize,
-    generalized_ns_bound,
-    j_constant,
-    kostochka_value,
-    main_bound,
-    ns_subset_bound,
-    ns_vector_bound,
-)
-from .conjectures import (
-    CSV_HEADER,
-    ConjectureReport,
-    conjecture_scan,
-    cover_count,
-    max_union,
-    scan_to_csv,
-)
-from .detect import (
-    coordinate_classes,
-    find_ap_triple,
-    find_sunflower_sets,
-    find_sunflower_sets_fast,
-    find_sunflower_vectors,
-    is_ap_triple,
-    is_sunflower_sets,
-    is_sunflower_vectors,
-    kernel_of,
-    witness_holds,
-)
-from .errors import (
-    ArityMismatch,
-    BadArity,
-    DomainError,
-    DuplicateMember,
-    EmptySet,
-    InapplicableFactor,
-    InputHasSunflower,
-    NotPartite,
-    NotPrimePower,
-    OutOfRange,
-    SunflowerError,
-    TooLarge,
-    UsageError,
-)
-from .model import (
-    EXACT_INT,
-    EXACT_RATIONAL,
-    FLOAT_APPROX,
-    BoundReport,
-    ModulusVector,
-    PartiteStructure,
-    SetFamily,
-    SunflowerWitness,
-    VectorFamily,
-    as_modulus_vector,
-    dump_json,
-    parse_set_family,
-    parse_vector_family,
-    union_size,
-)
-from .reduce import (
-    PipelineTrace,
-    crt_map,
-    ek_guarantee,
-    ek_partition,
-    embed_vectors_as_sets,
-    extract_gl,
-    pipeline,
-    psi_inverse,
-    psi_map,
-    strip_common_elements,
-)
-from .rng import SplitMix64
-from .search import (
-    CnfInstance,
-    SearchResult,
-    UniformInstance,
-    VectorInstance,
-    cnf_satisfiable,
-    export_cnf,
-    greedy_lower_bound,
-    max_sunflower_free_uniform,
-    max_sunflower_free_vectors,
-    verify_family,
-    verify_family_points,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproxValue",
-    "ArityMismatch",
-    "BadArity",
-    "BoundReport",
-    "CSV_HEADER",
-    "CnfInstance",
-    "ConjectureReport",
-    "DomainError",
-    "DuplicateMember",
-    "EXACT_INT",
-    "EXACT_RATIONAL",
-    "EmptySet",
-    "FLOAT_APPROX",
-    "Factorization",
-    "InapplicableFactor",
-    "InputHasSunflower",
-    "JMinimizationResult",
-    "ModulusVector",
-    "NotPartite",
-    "NotPrimePower",
-    "OutOfRange",
-    "PartiteStructure",
-    "PipelineTrace",
-    "SearchResult",
-    "SetFamily",
-    "SplitMix64",
-    "SunflowerError",
-    "SunflowerWitness",
-    "TooLarge",
-    "UniformInstance",
-    "UsageError",
-    "VectorFamily",
-    "VectorInstance",
-    "as_modulus_vector",
-    "balanced_bound",
-    "c_d",
-    "cnf_satisfiable",
-    "compare_bounds",
-    "conjecture_scan",
-    "coordinate_classes",
-    "corollary_bound",
-    "cover_count",
-    "crt_bound",
-    "crt_map",
-    "dump_json",
-    "eg_vector_bound",
-    "ek_guarantee",
-    "ek_partition",
-    "embed_vectors_as_sets",
-    "erdos_rado_threshold",
-    "export_cnf",
-    "extract_gl",
-    "factorize",
-    "find_ap_triple",
-    "find_sunflower_sets",
-    "find_sunflower_sets_fast",
-    "find_sunflower_vectors",
-    "generalized_ns_bound",
-    "greedy_lower_bound",
-    "is_ap_triple",
-    "is_sunflower_sets",
-    "is_sunflower_vectors",
-    "j_constant",
-    "kernel_of",
-    "kostochka_value",
-    "main_bound",
-    "max_sunflower_free_uniform",
-    "max_sunflower_free_vectors",
-    "max_union",
-    "ns_subset_bound",
-    "ns_vector_bound",
-    "parse_set_family",
-    "parse_vector_family",
-    "pipeline",
-    "psi_inverse",
-    "psi_map",
-    "scan_to_csv",
-    "strip_common_elements",
-    "union_size",
-    "verify_family",
-    "verify_family_points",
-    "witness_holds",
-]
+_EXPORTS = {
+    "bounds": (
+        "ApproxValue", "Factorization", "JMinimizationResult", "balanced_bound", "c_d",
+        "compare_bounds", "corollary_bound", "crt_bound", "eg_vector_bound",
+        "erdos_rado_threshold", "factorize", "generalized_ns_bound", "j_constant",
+        "kostochka_value", "main_bound", "ns_subset_bound", "ns_vector_bound",
+    ),
+    "conjectures": (
+        "CSV_HEADER", "ConjectureReport", "conjecture_scan", "cover_count", "max_union",
+        "scan_to_csv",
+    ),
+    "detect": (
+        "coordinate_classes", "find_ap_triple", "find_sunflower_sets",
+        "find_sunflower_sets_fast", "find_sunflower_vectors", "is_ap_triple",
+        "is_sunflower_sets", "is_sunflower_vectors", "kernel_of", "witness_holds",
+    ),
+    "errors": (
+        "ArityMismatch", "BadArity", "DomainError", "DuplicateMember", "EmptySet",
+        "InapplicableFactor", "InputHasSunflower", "NotPartite", "NotPrimePower",
+        "OutOfRange", "SunflowerError", "TooLarge", "UsageError",
+    ),
+    "model": (
+        "EXACT_INT", "EXACT_RATIONAL", "FLOAT_APPROX", "BoundReport", "ModulusVector",
+        "PartiteStructure", "SetFamily", "SunflowerWitness", "VectorFamily",
+        "as_modulus_vector", "dump_json", "parse_set_family", "parse_vector_family",
+        "union_size",
+    ),
+    "reduce": (
+        "PipelineTrace", "crt_map", "ek_guarantee", "ek_partition", "embed_vectors_as_sets",
+        "extract_gl", "pipeline", "psi_inverse", "psi_map", "strip_common_elements",
+    ),
+    "rng": ("SplitMix64",),
+    "search": (
+        "CnfInstance", "SearchResult", "UniformInstance", "VectorInstance",
+        "cnf_satisfiable", "export_cnf", "greedy_lower_bound", "max_sunflower_free_uniform",
+        "max_sunflower_free_vectors", "verify_family", "verify_family_points",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

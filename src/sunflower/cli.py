@@ -63,6 +63,13 @@ def _read_text(args) -> str:
     raise UsageError("provide --in FILE or --inline TEXT")
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _parse_moduli(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
@@ -219,7 +226,7 @@ def _cmd_reduce_pipeline(args) -> int:
         trace = reduce_mod.pipeline(family, mode="derandomized")
     text = dump_json(trace.to_json_dict())
     if args.json_out:
-        Path(args.json_out).write_text(text, encoding="utf-8")
+        _write_text(args.json_out, text)
     sys.stdout.write(text)
     return 0
 
@@ -287,7 +294,7 @@ def _cmd_cnf_export(args) -> int:
     cnf = search_mod.export_cnf(_cnf_instance(args), args.size)
     text = cnf.to_dimacs()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="")
+        _write_text(args.out, text)
         _emit(
             {
                 "written": args.out,
@@ -328,7 +335,7 @@ def _cmd_conjecture_scan(args) -> int:
         threads=_thread_count(args),
     )
     if args.csv:
-        Path(args.csv).write_text(conj_mod.scan_to_csv(reports), encoding="utf-8", newline="")
+        _write_text(args.csv, conj_mod.scan_to_csv(reports))
     _emit([r.to_json_dict() for r in reports])
     return 0
 
@@ -381,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     b_j = bsubs.add_parser("j", help="minimize the J objective", formatter_class=_formatter)
     b_j.add_argument("--q", type=int, required=True, help="the base q, from 2 to 2^53")
     b_j.add_argument("--tol", type=float, default=1e-12,
-                     help="bracket width in x at which to stop, at least 1e-12 (default 1e-12)")
+                     help="stop once the bracket in s = -log x is narrower than TOL and than "
+                          "1e-6 of s, so a TOL above about 1.5e-6 changes nothing; at least "
+                          "1e-12 (default 1e-12)")
     b_j.set_defaults(handler=_cmd_bounds)
 
     reduce_p = subs.add_parser("reduce", help="structural reductions",

@@ -37,7 +37,6 @@ from math import comb, prod
 from operator import mul
 from typing import Mapping, Sequence
 
-from . import bounds as _bounds
 from .detect import CompletionKernel, find_sunflower_sets, find_sunflower_vectors_lookup
 from .detect import vector_features
 from .errors import DomainError, SunflowerError, TooLarge, UsageError
@@ -437,6 +436,10 @@ def _solve(
     union maximizes the union size from the seed [point 0], not greedy: its
     witness must stay the first maximum in tuple order, where a prefix comes first.
     """
+    if max_nodes < 0:
+        raise DomainError("max_nodes cannot be negative")
+    if time_limit is not None and not time_limit >= 0:
+        raise DomainError("time_limit must be a non-negative number of seconds")
     count = instance.point_count()
     if count > point_ceiling:
         raise TooLarge(f"instance has {count} points, ceiling is {point_ceiling}")
@@ -503,12 +506,14 @@ def _bound_checks(instance: Instance, maximum: int) -> tuple[dict, ...]:
     Flags (degenerate-zero, up-to-unspecified-constant) mark no checkable
     inequality; a context compare_bounds rejects gets no checks.
     """
+    from .bounds import compare_bounds  # here, so building an instance does not load bounds
+
     if isinstance(instance, VectorInstance):
         context = {"moduli": instance.moduli}
     else:
         context = {"k": instance.k, "M": instance.m}
     try:
-        reports = _bounds.compare_bounds(**context)
+        reports = compare_bounds(**context)
     except (DomainError, UsageError):
         return ()
     return tuple({**r.to_json_dict(), "ok": r.admits(maximum)} for r in reports if not r.flags)

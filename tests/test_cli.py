@@ -121,6 +121,13 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert abs(payload["j"] - 0.8414343723436019) <= payload["radius"] <= 1e-6
 
+    @pytest.mark.parametrize("q", ["5", "2048"])
+    def test_j_tol_above_the_relative_rule_changes_nothing(self, capsys, q):
+        # the bisection also stops only within 1e-6 of s <= 1.5, which binds first here
+        _, coarse, _ = run(capsys, "bounds", "j", "--q", q, "--tol", "1e-3")
+        _, fine, _ = run(capsys, "bounds", "j", "--q", q, "--tol", "1e-6")
+        assert coarse == fine
+
     def test_j_subcommand_beyond_double_precision(self, capsys):
         code, out, err = run(capsys, "bounds", "j", "--q", "10000000000000000")
         assert code == 1 and "Traceback" not in err
@@ -229,6 +236,21 @@ class TestSearchCommands:
         )
         assert code == 1
         assert json.loads(out)["error"] == "TooLarge"
+
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("vectors", "--moduli", "3,3", "--budget-nodes", "-3"), "max_nodes"),
+            (("vectors", "--moduli", "3,3", "--time-limit", "nan"), "time_limit"),
+            (("uniform", "--k", "2", "--m", "5", "--time-limit", "-1"), "time_limit"),
+        ],
+    )
+    def test_bad_budgets_are_domain_errors(self, capsys, argv, message):
+        code, out, _ = run(capsys, "search", *argv)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "DomainError" and message in payload["message"]
 
 
 class TestCnfCommands:
@@ -344,6 +366,12 @@ class TestConjectureCommand:
         assert code == 0
         assert target.read_text() == scan_to_csv(conjecture_scan([2], [4, 5]))
 
+    @pytest.mark.parametrize("flag,value", [("--budget-nodes", "-1"), ("--time-limit", "nan")])
+    def test_bad_budgets_are_domain_errors(self, capsys, flag, value):
+        code, out, _ = run(capsys, "conjecture", "scan", "--k", "2", "--m", "4", flag, value)
+        assert code == 1
+        assert json.loads(out)["error"] == "DomainError"
+
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "conjecture", "scan", "--k", "x", "--m", "4")
         assert code == 2
@@ -385,6 +413,21 @@ class TestCliContract:
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "detect", "sets", "--in", "/no/such/file")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cnf", "export", "--moduli", "3,3", "--size", "4", "--out"),
+            ("reduce", "pipeline", "--inline", "1 2;3 4", "--json"),
+            ("conjecture", "scan", "--k", "2", "--m", "4", "--csv"),
+        ],
+        ids=["cnf-out", "reduce-json", "scan-csv"],
+    )
+    def test_unwritable_output_file_is_usage_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, *argv, str(target))
+        assert code == 2 and out == ""
+        assert f"error: cannot write {target}: " in err and "Traceback" not in err
 
     def test_domain_errors_emit_json_on_stdout(self, capsys):
         code, out, _ = run(capsys, "detect", "sets", "--inline", "1 2;2 1")

@@ -120,6 +120,13 @@ class TestMaxUnion:
         assert brute_find_sunflower_sets(rep.witness) is None
         assert len(set().union(*rep.witness)) == rep.max_union >= 2
 
+    @pytest.mark.parametrize("budget", [{"max_nodes": -1}, {"time_limit": float("nan")}])
+    def test_nonsense_budgets_are_domain_errors(self, budget):
+        with pytest.raises(DomainError):
+            max_union(2, 6, **budget)
+        with pytest.raises(DomainError):
+            conjecture_scan([2], [4, 5], **budget)
+
     def test_expired_deadline_still_returns_a_free_witness(self):
         rep = max_union(2, 11, time_limit=0)
         assert not rep.optimal and rep.nodes_explored == 0

@@ -1,0 +1,124 @@
+"""The package namespace: each public name loads its home module on first use.
+
+Every check runs in a fresh interpreter, since the modules an import loads
+depend on what the process imported before.
+"""
+
+import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PUBLIC_NAMES = """
+    ApproxValue ArityMismatch BadArity BoundReport CSV_HEADER CnfInstance ConjectureReport
+    DomainError DuplicateMember EXACT_INT EXACT_RATIONAL EmptySet FLOAT_APPROX Factorization
+    InapplicableFactor InputHasSunflower JMinimizationResult ModulusVector NotPartite
+    NotPrimePower OutOfRange PartiteStructure PipelineTrace SearchResult SetFamily SplitMix64
+    SunflowerError SunflowerWitness TooLarge UniformInstance UsageError VectorFamily
+    VectorInstance as_modulus_vector balanced_bound c_d cnf_satisfiable compare_bounds
+    conjecture_scan coordinate_classes corollary_bound cover_count crt_bound crt_map dump_json
+    eg_vector_bound ek_guarantee ek_partition embed_vectors_as_sets erdos_rado_threshold
+    export_cnf extract_gl factorize find_ap_triple find_sunflower_sets find_sunflower_sets_fast
+    find_sunflower_vectors generalized_ns_bound greedy_lower_bound is_ap_triple
+    is_sunflower_sets is_sunflower_vectors j_constant kernel_of kostochka_value main_bound
+    max_sunflower_free_uniform max_sunflower_free_vectors max_union ns_subset_bound
+    ns_vector_bound parse_set_family parse_vector_family pipeline psi_inverse psi_map
+    scan_to_csv strip_common_elements union_size verify_family verify_family_points
+    witness_holds
+""".split()
+
+
+def fresh(body: str):
+    """Run body in a new interpreter and return the JSON it prints."""
+    code = f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n" + textwrap.dedent(body)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+LOADED = 'sorted(m for m in sys.modules if m.startswith("sunflower."))'
+
+
+def test_bare_import_loads_no_submodule():
+    assert fresh(f"import sunflower\nprint(json.dumps({LOADED}))") == []
+
+
+def test_building_an_instance_loads_only_what_search_needs():
+    loaded = fresh(
+        f"""
+        import sunflower as sf
+        sf.VectorInstance(sf.as_modulus_vector((3, 3)))
+        sf.UniformInstance(2, 5)
+        print(json.dumps({LOADED}))
+        """
+    )
+    assert loaded == ["sunflower.detect", "sunflower.errors", "sunflower.model", "sunflower.search"]
+
+
+def test_star_import_binds_exactly_the_public_names():
+    names = fresh(
+        """
+        namespace = {}
+        exec("from sunflower import *", namespace)
+        import sunflower
+        print(json.dumps([sorted(set(namespace) - {"__builtins__"}), sunflower.__all__]))
+        """
+    )
+    assert len(PUBLIC_NAMES) == 82
+    assert names == [PUBLIC_NAMES, PUBLIC_NAMES]
+
+
+def test_each_name_is_its_home_modules_object_and_is_cached():
+    wrong = fresh(
+        """
+        import importlib
+        import sunflower
+        wrong = []
+        for module, names in sunflower._EXPORTS.items():
+            home = importlib.import_module(f"sunflower.{module}")
+            for name in names:
+                if getattr(sunflower, name) is not getattr(home, name):
+                    wrong.append(name)
+                if vars(sunflower).get(name) is not getattr(home, name):
+                    wrong.append(f"{name} (not cached)")
+                if name not in dir(sunflower):
+                    wrong.append(f"{name} (not in dir)")
+        print(json.dumps(wrong))
+        """
+    )
+    assert wrong == []
+
+
+@pytest.mark.parametrize("module", ["bounds", "conjectures", "reduce", "rng", "search"])
+def test_a_submodule_resolves_as_an_attribute(module):
+    assert fresh(
+        f"""
+        import sunflower
+        print(json.dumps(sunflower.{module} is sys.modules["sunflower.{module}"]))
+        """
+    )
+
+
+def test_an_unknown_name_raises_attribute_error():
+    result = fresh(
+        """
+        import sunflower
+        try:
+            sunflower.no_such_name
+        except AttributeError as exc:
+            attr = str(exc)
+        try:
+            from sunflower import no_such_name
+        except ImportError as exc:
+            imported = type(exc).__name__
+        print(json.dumps([attr, imported]))
+        """
+    )
+    assert result == ["module 'sunflower' has no attribute 'no_such_name'", "ImportError"]

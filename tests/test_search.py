@@ -150,7 +150,7 @@ class TestBoundChecks:
 
     def test_a_failing_check_raises(self, monkeypatch):
         low = BoundReport(name="too-low", parameters={}, value=3, exactness=EXACT_INT)
-        monkeypatch.setattr(search._bounds, "compare_bounds", lambda *a, **kw: [low])
+        monkeypatch.setattr("sunflower.bounds.compare_bounds", lambda *a, **kw: [low])
         with pytest.raises(SunflowerError, match="too-low"):
             max_sunflower_free_vectors((3, 3))
 
@@ -286,6 +286,20 @@ class TestSearchMechanics:
         assert not r.optimal and r.stats["greedy_size"] <= 7
         assert r.maximum >= r.stats["greedy_size"]
         assert verify_family_points(inst, r.witness_points) == (True, None)
+
+    @pytest.mark.parametrize(
+        "budget,message",
+        [
+            ({"max_nodes": -3}, "max_nodes"),
+            ({"time_limit": float("nan")}, "time_limit"),
+            ({"time_limit": -0.5}, "time_limit"),
+        ],
+    )
+    def test_nonsense_budgets_are_domain_errors(self, budget, message):
+        with pytest.raises(DomainError, match=message):
+            max_sunflower_free_vectors((3, 3), **budget)
+        with pytest.raises(DomainError, match=message):
+            max_sunflower_free_uniform(2, 5, **budget)
 
     def test_greedy_stops_at_max_size(self):
         inst = VectorInstance(as_modulus_vector((3, 3, 3)))
