@@ -173,7 +173,7 @@ def j_constant(q: int, tol: float = 1e-12) -> JMinimizationResult:
         raise DomainError("q must be at least 2")
     if q > 2**53:
         raise DomainError("q above 2^53 is not exact as a double")
-    if tol < 1e-12:
+    if not tol >= 1e-12:  # NaN too
         raise DomainError("tolerance below 1e-12 is not supported")
 
     def slope(s: float) -> float:

@@ -13,32 +13,21 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
-from . import bounds as bounds_mod
-from . import conjectures as conj_mod
-from . import reduce as reduce_mod
-from . import search as search_mod
-from .detect import (
-    find_ap_triple,
-    find_sunflower_sets,
-    find_sunflower_sets_fast,
-    find_sunflower_vectors,
-    is_sunflower_vectors,
-)
+import sunflower as sf
+
 from .errors import InputHasSunflower, SunflowerError, UsageError
-from .model import (
-    as_modulus_vector,
-    dump_json,
-    parse_set_family,
-    parse_vector_family,
-)
-
-_HELP_WIDTH = 96
+from .model import dump_json, parse_set_family, parse_vector_family
 
 
-def _formatter(prog: str) -> argparse.HelpFormatter:
-    return argparse.HelpFormatter(prog, width=_HELP_WIDTH, max_help_position=28)
+class _Parser(argparse.ArgumentParser):
+    """Pins the help layout; add_subparsers builds every subparser from this class."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs["formatter_class"] = partial(argparse.HelpFormatter, width=96, max_help_position=28)
+        super().__init__(*args, **kwargs)
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -93,21 +82,18 @@ def _parse_range(text: str) -> list[int]:
         raise UsageError(f"bad range {text!r}") from exc
 
 
-def _thread_count(args) -> int:
-    """Validated --threads / SUNFLOWER_THREADS; the library accepts and ignores it."""
-    value = getattr(args, "threads", None)
+def _check_threads(value: int | None) -> None:
+    """Check --threads, or else SUNFLOWER_THREADS; the library ignores the count."""
     if value is None:
         env = os.environ.get("SUNFLOWER_THREADS")
-        if env:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise UsageError(f"bad SUNFLOWER_THREADS value {env!r}") from exc
-    if value is None:
-        return 1
+        if not env:
+            return
+        try:
+            value = int(env)
+        except ValueError as exc:
+            raise UsageError(f"bad SUNFLOWER_THREADS value {env!r}") from exc
     if value < 1:
         raise UsageError("thread count must be at least 1")
-    return value
 
 
 def _emit(payload: dict | list) -> None:
@@ -120,10 +106,10 @@ def _emit(payload: dict | list) -> None:
 def _cmd_detect_sets(args) -> int:
     family = parse_set_family(_read_text(args), allow_empty=args.allow_empty)
     if args.naive or args.t != 3:
-        witness = find_sunflower_sets(family, args.t)
+        witness = sf.find_sunflower_sets(family, args.t)
         detector = "naive"
     else:
-        witness = find_sunflower_sets_fast(family)
+        witness = sf.find_sunflower_sets_fast(family)
         detector = "fast"
     _emit(
         {
@@ -138,7 +124,7 @@ def _cmd_detect_sets(args) -> int:
 
 def _cmd_detect_vectors(args) -> int:
     family = parse_vector_family(_read_text(args), _parse_moduli(args.moduli))
-    witness = find_sunflower_vectors(family)
+    witness = sf.find_sunflower_vectors(family)
     _emit(
         {
             "found": witness is not None,
@@ -150,7 +136,7 @@ def _cmd_detect_vectors(args) -> int:
 
 def _cmd_detect_ap(args) -> int:
     family = parse_vector_family(_read_text(args), _parse_moduli(args.moduli))
-    triple = find_ap_triple(family)
+    triple = sf.find_ap_triple(family)
     payload: dict = {"found": triple is not None, "witness": None}
     if triple is not None:
         i, j, l = triple
@@ -158,7 +144,7 @@ def _cmd_detect_ap(args) -> int:
         payload["witness"] = {
             "members": [i, j, l],
             "vectors": [list(v) for v in vecs],
-            "is_sunflower": is_sunflower_vectors(*vecs),
+            "is_sunflower": sf.is_sunflower_vectors(*vecs),
         }
     _emit(payload)
     return 0
@@ -196,16 +182,17 @@ def _bounds_table(reports) -> str:
 
 
 def _cmd_bounds(args) -> int:
-    if getattr(args, "bounds_cmd", None) == "j":
-        result = bounds_mod.j_constant(args.q, args.tol)
-        _emit(result.to_json_dict())
-        return 0
     moduli = _parse_moduli(args.moduli) if args.moduli else None
-    reports = bounds_mod.compare_bounds(moduli=moduli, k=args.k, M=args.big_m)
+    reports = sf.compare_bounds(moduli=moduli, k=args.k, M=args.big_m)
     if args.format == "table":
         sys.stdout.write(_bounds_table(reports))
     else:
         _emit([r.to_json_dict() for r in reports])
+    return 0
+
+
+def _cmd_bounds_j(args) -> int:
+    _emit(sf.j_constant(args.q, args.tol).to_json_dict())
     return 0
 
 
@@ -215,15 +202,9 @@ def _cmd_bounds(args) -> int:
 def _cmd_reduce_pipeline(args) -> int:
     family = parse_set_family(_read_text(args), allow_empty=args.allow_empty)
     if args.seed is not None:
-        trace = reduce_mod.pipeline(
-            family,
-            mode="seeded",
-            seed=args.seed,
-            rounds=args.rounds,
-            threads=_thread_count(args),
-        )
+        trace = sf.pipeline(family, mode="seeded", seed=args.seed, rounds=args.rounds)
     else:
-        trace = reduce_mod.pipeline(family, mode="derandomized")
+        trace = sf.pipeline(family, mode="derandomized")
     text = dump_json(trace.to_json_dict())
     if args.json_out:
         _write_text(args.json_out, text)
@@ -234,15 +215,25 @@ def _cmd_reduce_pipeline(args) -> int:
 # ---------------------------------------------------------------- search
 
 
-def _search_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=search_mod.DEFAULT_NODE_BUDGET)
-    p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
-    p.add_argument("--point-ceiling", type=int, default=search_mod.DEFAULT_POINT_CEILING)
-    p.add_argument("--threads", type=int, default=None)
+def _budget_flags(p: argparse.ArgumentParser, point_ceiling: bool = True) -> None:
+    """Budget flags, left unset unless given so the library's defaults apply; then --threads."""
+    unset = argparse.SUPPRESS
+    p.add_argument("--budget-nodes", dest="max_nodes", type=int, default=unset,
+                   metavar="BUDGET_NODES")
+    p.add_argument("--time-limit", type=float, default=unset, metavar="SECONDS")
+    if point_ceiling:
+        p.add_argument("--point-ceiling", type=int, default=unset)
+    p.add_argument("--threads", type=int)
+
+
+def _budgets(args) -> dict:
+    """The budget flags given, under the library's keywords."""
+    given = vars(args)
+    return {k: given[k] for k in ("max_nodes", "time_limit", "point_ceiling") if k in given}
 
 
 def _cnf_parser(subs, name: str, help_text: str, handler) -> None:
-    p = subs.add_parser(name, help=help_text, formatter_class=_formatter)
+    p = subs.add_parser(name, help=help_text)
     p.add_argument("--moduli")
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
@@ -253,45 +244,33 @@ def _cnf_parser(subs, name: str, help_text: str, handler) -> None:
 
 
 def _cmd_search_vectors(args) -> int:
-    result = search_mod.max_sunflower_free_vectors(
-        _parse_moduli(args.moduli),
-        max_nodes=args.budget_nodes,
-        time_limit=args.time_limit,
-        anchor=not args.no_anchor,
-        point_ceiling=args.point_ceiling,
-        threads=_thread_count(args),
+    result = sf.max_sunflower_free_vectors(
+        _parse_moduli(args.moduli), anchor=not args.no_anchor, **_budgets(args)
     )
     _emit(result.to_json_dict())
     return 0
 
 
 def _cmd_search_uniform(args) -> int:
-    result = search_mod.max_sunflower_free_uniform(
-        args.k,
-        args.m,
-        max_nodes=args.budget_nodes,
-        time_limit=args.time_limit,
-        point_ceiling=args.point_ceiling,
-        threads=_thread_count(args),
-    )
+    result = sf.max_sunflower_free_uniform(args.k, args.m, **_budgets(args))
     _emit(result.to_json_dict())
     return 0
 
 
-def _cnf_instance(args) -> search_mod.Instance:
+def _cnf_instance(args) -> sf.search.Instance:
     has_moduli = args.moduli is not None
     has_uniform = args.k is not None or args.m is not None
     if has_moduli and has_uniform:
         raise UsageError("give either --moduli or --k/--m, not both")
     if has_moduli:
-        return search_mod.VectorInstance(as_modulus_vector(_parse_moduli(args.moduli)))
+        return sf.VectorInstance(sf.as_modulus_vector(_parse_moduli(args.moduli)))
     if args.k is None or args.m is None:
         raise UsageError("uniform instances need both --k and --m")
-    return search_mod.UniformInstance(args.k, args.m)
+    return sf.UniformInstance(args.k, args.m)
 
 
 def _cmd_cnf_export(args) -> int:
-    cnf = search_mod.export_cnf(_cnf_instance(args), args.size)
+    cnf = sf.export_cnf(_cnf_instance(args), args.size)
     text = cnf.to_dimacs()
     if args.out:
         _write_text(args.out, text)
@@ -310,11 +289,11 @@ def _cmd_cnf_export(args) -> int:
 
 def _cmd_cnf_check(args) -> int:
     instance = _cnf_instance(args)
-    cnf = search_mod.export_cnf(instance, args.size)
-    anchored = replace(cnf, clauses=cnf.clauses + search_mod.anchor_clauses(instance, args.size))
+    cnf = sf.export_cnf(instance, args.size)
+    anchored = replace(cnf, clauses=cnf.clauses + sf.search.anchor_clauses(instance, args.size))
     _emit(
         {
-            "satisfiable": search_mod.cnf_satisfiable(anchored),
+            "satisfiable": sf.cnf_satisfiable(anchored),
             "num_vars": cnf.num_vars,
             "num_clauses": len(cnf.clauses),
             "size": args.size,
@@ -327,15 +306,9 @@ def _cmd_cnf_check(args) -> int:
 
 
 def _cmd_conjecture_scan(args) -> int:
-    reports = conj_mod.conjecture_scan(
-        _parse_range(args.k),
-        _parse_range(args.m),
-        max_nodes=args.budget_nodes,
-        time_limit=args.time_limit,
-        threads=_thread_count(args),
-    )
+    reports = sf.conjecture_scan(_parse_range(args.k), _parse_range(args.m), **_budgets(args))
     if args.csv:
-        _write_text(args.csv, conj_mod.scan_to_csv(reports))
+        _write_text(args.csv, sf.scan_to_csv(reports))
     _emit([r.to_json_dict() for r in reports])
     return 0
 
@@ -344,20 +317,16 @@ def _cmd_conjecture_scan(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(
+    root = _Parser(
         prog="sunflower",
         description="Sunflower-free set systems: detection, bounds, reductions, exact search.",
-        formatter_class=_formatter,
     )
     subs = root.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    detect = subs.add_parser(
-        "detect", help="find sunflowers and progression triples", formatter_class=_formatter
-    )
+    detect = subs.add_parser("detect", help="find sunflowers and progression triples")
     dsubs = detect.add_subparsers(dest="detect_cmd", required=True, metavar="WHAT")
 
-    d_sets = dsubs.add_parser("sets", help="t-petal sunflowers in a set family",
-                              formatter_class=_formatter)
+    d_sets = dsubs.add_parser("sets", help="t-petal sunflowers in a set family")
     _add_input_flags(d_sets)
     d_sets.add_argument("--t", type=int, default=3, help="number of petals (default 3)")
     d_sets.add_argument("--naive", action="store_true", help="force the definitional scan")
@@ -365,39 +334,34 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accept blank lines as empty members")
     d_sets.set_defaults(handler=_cmd_detect_sets)
 
-    d_vec = dsubs.add_parser("vectors", help="3-sunflowers in a vector family",
-                             formatter_class=_formatter)
+    d_vec = dsubs.add_parser("vectors", help="3-sunflowers in a vector family")
     _add_input_flags(d_vec)
     d_vec.add_argument("--moduli", required=True, help="comma-separated moduli, e.g. 3,3")
     d_vec.set_defaults(handler=_cmd_detect_vectors)
 
-    d_ap = dsubs.add_parser("ap", help="coordinatewise arithmetic-progression triples",
-                            formatter_class=_formatter)
+    d_ap = dsubs.add_parser("ap", help="coordinatewise arithmetic-progression triples")
     _add_input_flags(d_ap)
     d_ap.add_argument("--moduli", required=True, help="comma-separated moduli")
     d_ap.set_defaults(handler=_cmd_detect_ap)
 
-    bounds_p = subs.add_parser("bounds", help="evaluate and compare size bounds",
-                               formatter_class=_formatter)
+    bounds_p = subs.add_parser("bounds", help="evaluate and compare size bounds")
     bounds_p.add_argument("--moduli", help="vector-family context, e.g. 3,3,4")
     bounds_p.add_argument("--k", type=int, help="uniformity for the (k, M) context")
     bounds_p.add_argument("--M", dest="big_m", type=int, help="ground size for the (k, M) context")
     bounds_p.add_argument("--format", choices=("json", "table"), default="json")
     bounds_p.set_defaults(handler=_cmd_bounds)
     bsubs = bounds_p.add_subparsers(dest="bounds_cmd", metavar="[j]")
-    b_j = bsubs.add_parser("j", help="minimize the J objective", formatter_class=_formatter)
+    b_j = bsubs.add_parser("j", help="minimize the J objective")
     b_j.add_argument("--q", type=int, required=True, help="the base q, from 2 to 2^53")
     b_j.add_argument("--tol", type=float, default=1e-12,
                      help="stop once the bracket in s = -log x is narrower than TOL and than "
                           "1e-6 of s, so a TOL above about 1.5e-6 changes nothing; at least "
                           "1e-12 (default 1e-12)")
-    b_j.set_defaults(handler=_cmd_bounds)
+    b_j.set_defaults(handler=_cmd_bounds_j)
 
-    reduce_p = subs.add_parser("reduce", help="structural reductions",
-                               formatter_class=_formatter)
+    reduce_p = subs.add_parser("reduce", help="structural reductions")
     rsubs = reduce_p.add_subparsers(dest="reduce_cmd", required=True, metavar="WHAT")
-    r_pipe = rsubs.add_parser("pipeline", help="partition, strip, group, and rank a family",
-                              formatter_class=_formatter)
+    r_pipe = rsubs.add_parser("pipeline", help="partition, strip, group, and rank a family")
     _add_input_flags(r_pipe)
     r_pipe.add_argument("--allow-empty", action="store_true",
                         help="accept blank lines as empty members")
@@ -406,49 +370,41 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--derandomize", action="store_true",
                       help="conditional-expectation partition (default)")
     r_pipe.add_argument("--rounds", type=int, default=1, help="seeded rounds to try")
-    r_pipe.add_argument("--threads", type=int, default=None)
+    r_pipe.add_argument("--threads", type=int)
     r_pipe.add_argument("--json", dest="json_out", metavar="FILE",
                         help="also write the trace to FILE")
     r_pipe.set_defaults(handler=_cmd_reduce_pipeline)
 
-    search_p = subs.add_parser("search", help="exact maximum sunflower-free families",
-                               formatter_class=_formatter)
+    search_p = subs.add_parser("search", help="exact maximum sunflower-free families")
     ssubs = search_p.add_subparsers(dest="search_cmd", required=True, metavar="WHAT")
 
-    s_vec = ssubs.add_parser("vectors", help="maximum family over given moduli",
-                             formatter_class=_formatter)
+    s_vec = ssubs.add_parser("vectors", help="maximum family over given moduli")
     s_vec.add_argument("--moduli", required=True)
-    _search_common(s_vec)
+    _budget_flags(s_vec)
     s_vec.add_argument("--no-anchor", action="store_true",
                        help="disable the symmetry anchor")
     s_vec.set_defaults(handler=_cmd_search_vectors)
 
-    s_uni = ssubs.add_parser("uniform", help="maximum family of k-subsets of [m]",
-                             formatter_class=_formatter)
+    s_uni = ssubs.add_parser("uniform", help="maximum family of k-subsets of [m]")
     s_uni.add_argument("--k", type=int, required=True)
     s_uni.add_argument("--m", type=int, required=True)
-    _search_common(s_uni)
+    _budget_flags(s_uni)
     s_uni.set_defaults(handler=_cmd_search_uniform)
 
     _cnf_parser(ssubs, "cnf", "export a DIMACS encoding", _cmd_cnf_export)
 
-    cnf_p = subs.add_parser("cnf", help="CNF export and the naive checker",
-                            formatter_class=_formatter)
+    cnf_p = subs.add_parser("cnf", help="CNF export and the naive checker")
     csubs = cnf_p.add_subparsers(dest="cnf_cmd", required=True, metavar="WHAT")
     _cnf_parser(csubs, "export", "export a DIMACS encoding", _cmd_cnf_export)
     _cnf_parser(csubs, "check", "decide satisfiability with the naive checker", _cmd_cnf_check)
 
-    conj_p = subs.add_parser("conjecture", help="probe the union-size and cover conjectures",
-                             formatter_class=_formatter)
+    conj_p = subs.add_parser("conjecture", help="probe the union-size and cover conjectures")
     cjsubs = conj_p.add_subparsers(dest="conjecture_cmd", required=True, metavar="WHAT")
-    c_scan = cjsubs.add_parser("scan", help="tabulate extremal unions over a (k, m) grid",
-                               formatter_class=_formatter)
+    c_scan = cjsubs.add_parser("scan", help="tabulate extremal unions over a (k, m) grid")
     c_scan.add_argument("--k", required=True, help="k range, e.g. 1..3 or 2")
     c_scan.add_argument("--m", required=True, help="m range, e.g. 4..9")
     c_scan.add_argument("--csv", metavar="FILE", help="also write CSV to FILE")
-    c_scan.add_argument("--budget-nodes", type=int, default=search_mod.DEFAULT_NODE_BUDGET)
-    c_scan.add_argument("--time-limit", type=float, default=None)
-    c_scan.add_argument("--threads", type=int, default=None)
+    _budget_flags(c_scan, point_ceiling=False)
     c_scan.set_defaults(handler=_cmd_conjecture_scan)
 
     return root
@@ -462,6 +418,8 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
+        if hasattr(args, "threads"):
+            _check_threads(args.threads)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,21 +58,10 @@ class ConjectureReport:
         }
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            str(x)
-            for x in (
-                self.k,
-                self.m,
-                self.max_union,
-                len(self.witness),
-                repr(self.implied_d),
-                "" if self.cover_count is None else self.cover_count,
-                "" if self.cover_pass is None else self.cover_pass,
-                2 * self.k,
-                self.optimal,
-                self.nodes_explored,
-            )
-        )
+        """The CSV_HEADER columns of to_json_dict; nodes is nodes_explored, None is empty."""
+        d = self.to_json_dict()
+        values = (d["nodes_explored" if col == "nodes" else col] for col in CSV_HEADER.split(","))
+        return ",".join("" if v is None else str(v) for v in values)
 
 
 CSV_HEADER = "k,m,max_union,family_size,implied_d,cover_count,cover_pass,two_k,optimal,nodes"

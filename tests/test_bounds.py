@@ -227,6 +227,12 @@ class TestJConstant:
         with pytest.raises(DomainError):
             j_constant(3, tol=1e-15)
 
+    @pytest.mark.parametrize("tol", [math.nan, -math.inf])
+    def test_tol_must_be_at_least_1e_12(self, tol):
+        # NaN fails every comparison, so only tol >= 1e-12 passes the check
+        with pytest.raises(DomainError):
+            j_constant(3, tol)
+
     def test_json_shape(self):
         d = j_constant(5).to_json_dict()
         assert set(d) == {"q", "x_star", "j", "radius", "exactness"}

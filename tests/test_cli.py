@@ -133,6 +133,12 @@ class TestBoundsCommand:
         assert code == 1 and "Traceback" not in err
         assert json.loads(out)["error"] == "DomainError"
 
+    def test_j_nan_tol_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "bounds", "j", "--q", "3", "--tol", "nan")
+        assert code == 1 and "Traceback" not in err
+        payload = json.loads(out)
+        assert payload["error"] == "DomainError" and "1e-12" in payload["message"]
+
     def test_missing_context_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bounds")
         assert code == 2
@@ -461,6 +467,27 @@ class TestCliContract:
             capsys, "search", "uniform", "--k", "2", "--m", "4", "--threads", "0"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("seed", [(), ("--seed", "7")], ids=["derandomized", "seeded"])
+    def test_pipeline_checks_threads_with_or_without_seed(self, capsys, seed):
+        argv = ["reduce", "pipeline", "--inline", "1 2;3 4", *seed]
+        code, out, err = run(capsys, *argv, "--threads", "0")
+        assert code == 2 and out == ""
+        assert "thread count must be at least 1" in err
+
+    @pytest.mark.parametrize("seed", [(), ("--seed", "7")], ids=["derandomized", "seeded"])
+    def test_pipeline_checks_threads_env_var_with_or_without_seed(
+        self, capsys, monkeypatch, seed
+    ):
+        monkeypatch.setenv("SUNFLOWER_THREADS", "bogus")
+        code, out, err = run(capsys, "reduce", "pipeline", "--inline", "1 2;3 4", *seed)
+        assert code == 2 and out == ""
+        assert "bad SUNFLOWER_THREADS value 'bogus'" in err
+
+    def test_commands_without_threads_ignore_the_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUNFLOWER_THREADS", "bogus")
+        code, out, _ = run(capsys, "detect", "sets", "--inline", "1;2;3")
+        assert code == 0 and json.loads(out)["found"] is True
 
 
 class TestHelpLayout:

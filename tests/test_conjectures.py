@@ -1,6 +1,7 @@
 import itertools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -208,6 +209,21 @@ class TestConjectureScan:
         assert first[0] == "2" and first[1] == "4"
         assert text.endswith("\n")
         assert "\r" not in text
+
+    def test_csv_bytes_are_pinned(self):
+        assert scan_to_csv(conjecture_scan([2], range(4, 10))) == (
+            "k,m,max_union,family_size,implied_d,cover_count,cover_pass,two_k,optimal,nodes\n"
+            "2,4,4,3,1.0,2,True,4,True,4\n"
+            "2,5,5,4,1.25,3,True,4,True,5\n"
+            "2,6,6,5,1.5,4,True,4,True,7\n"
+            "2,7,6,5,1.5,4,True,4,True,43\n"
+            "2,8,6,5,1.5,4,True,4,True,89\n"
+            "2,9,6,5,1.5,4,True,4,True,159\n"
+        )
+
+    def test_csv_writes_none_as_empty(self):
+        report = replace(conjecture_scan([2], [4])[0], cover_count=None, cover_pass=None)
+        assert report.to_csv_row() == "2,4,4,3,1.0,,,4,True,4"
 
     def test_union_monotone_in_m(self):
         reps = conjecture_scan([2], [4, 5, 6, 7])

@@ -54,6 +54,20 @@ CASES = [  # (name, argv, exit code)
     ("bounds-j-q5", ["bounds", "j", "--q", "5"], 0),
 ]
 
+HELP_PATHS = [  # every parser: the root, 5 groups and 12 commands
+    [],
+    ["detect"], ["detect", "sets"], ["detect", "vectors"], ["detect", "ap"],
+    ["bounds"], ["bounds", "j"],
+    ["reduce"], ["reduce", "pipeline"],
+    ["search"], ["search", "vectors"], ["search", "uniform"], ["search", "cnf"],
+    ["cnf"], ["cnf", "export"], ["cnf", "check"],
+    ["conjecture"], ["conjecture", "scan"],
+]
+CASES += [
+    ("-".join(["help", *path]) if path else "help-root", [*path, "--help"], 0)
+    for path in HELP_PATHS
+]
+
 
 def run_case(argv):
     out = io.StringIO()

@@ -62,6 +62,29 @@ def test_building_an_instance_loads_only_what_search_needs():
     assert loaded == ["sunflower.detect", "sunflower.errors", "sunflower.model", "sunflower.search"]
 
 
+def cli_loads(argv: list[str]) -> list[str]:
+    """The sunflower modules a fresh process holds after one CLI call."""
+    return fresh(
+        f"""
+        import contextlib, io
+        from sunflower import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main({argv!r}) == 0
+        print(json.dumps({LOADED}))
+        """
+    )
+
+
+def test_cli_detect_sets_loads_only_detect_model_and_errors():
+    loaded = cli_loads(["detect", "sets", "--inline", "1;2;3"])
+    assert loaded == ["sunflower.cli", "sunflower.detect", "sunflower.errors", "sunflower.model"]
+
+
+def test_cli_bounds_does_not_load_search():
+    loaded = cli_loads(["bounds", "--k", "2", "--M", "6"])
+    assert "sunflower.bounds" in loaded and "sunflower.search" not in loaded
+
+
 def test_star_import_binds_exactly_the_public_names():
     names = fresh(
         """
