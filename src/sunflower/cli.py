@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import sunflower as sf
@@ -200,9 +200,12 @@ def _cmd_bounds_j(args) -> int:
 
 
 def _cmd_reduce_pipeline(args) -> int:
+    if args.seed is None and args.rounds is not None:
+        raise UsageError("--rounds needs --seed")
     family = parse_set_family(_read_text(args), allow_empty=args.allow_empty)
     if args.seed is not None:
-        trace = sf.pipeline(family, mode="seeded", seed=args.seed, rounds=args.rounds)
+        rounds = {} if args.rounds is None else {"rounds": args.rounds}
+        trace = sf.pipeline(family, mode="seeded", seed=args.seed, **rounds)
     else:
         trace = sf.pipeline(family, mode="derandomized")
     text = dump_json(trace.to_json_dict())
@@ -369,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--seed", type=int, default=None, help="seeded random partition")
     mode.add_argument("--derandomize", action="store_true",
                       help="conditional-expectation partition (default)")
-    r_pipe.add_argument("--rounds", type=int, default=1, help="seeded rounds to try")
+    r_pipe.add_argument("--rounds", type=int, help="seeded rounds to try")
     r_pipe.add_argument("--threads", type=int)
     r_pipe.add_argument("--json", dest="json_out", metavar="FILE",
                         help="also write the trace to FILE")
@@ -410,10 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
+_shared_parser = cache(build_parser)  # parsing leaves the tree unchanged, so calls share one
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

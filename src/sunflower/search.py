@@ -594,10 +594,11 @@ class CnfInstance:
     comments: tuple[str, ...]
 
     def to_dimacs(self) -> str:
-        lines = [f"c {c}" for c in self.comments]
-        lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        lines.extend(" ".join(str(lit) for lit in cl) + " 0" for cl in self.clauses)
-        return "\n".join(lines) + "\n"
+        head = "".join(f"c {c}\n" for c in self.comments)
+        head += f"p cnf {self.num_vars} {len(self.clauses)}\n"
+        if not self.clauses:
+            return head
+        return head + " 0\n".join(" ".join(map(str, cl)) for cl in self.clauses) + " 0\n"
 
 
 def export_cnf(instance: Instance, size: int) -> CnfInstance:
@@ -671,16 +672,18 @@ def _describe_text(instance: Instance) -> str:
 
 
 def cnf_satisfiable(cnf: CnfInstance, max_vars: int = 4000) -> bool:
-    """DPLL with two watched literals per clause; tiny instances only.
+    """DPLL over static occurrence lists of 3-literal clauses; tiny instances only.
 
-    Branches on the lowest unassigned variable, trying true first, so the
-    decision order matches the point order of the exported encodings.
-    Decisions live on an explicit stack, not on Python's call stack.  A
-    clause is visited only when one of its watched literals, its first two,
-    turns false; it then moves that watch or propagates its other watch.
-    Propagation reaches one fixpoint in any clause order, so the decision
-    tree is that of plain unit propagation.  Backtracking is chronological:
-    the watches stay valid on undo, which only clears the trail suffix.
+    Branches on the lowest unassigned variable, true first, so the decision
+    order matches the point order of the exported encodings.  Short clauses
+    are padded with the always-false literal 0; (l1 ... lk) with k > 3
+    becomes the chain (l1 l2 y1) (-y1 l3 y2) ... (-y_{k-3} l_{k-1} lk) over
+    fresh variables after num_vars, which propagation treats as the clause,
+    so they are never decided.  When a literal turns false, each clause
+    holding it is skipped if one of its other two literals is true, else
+    forces the one not yet false or is a conflict.  The fixpoint is the same
+    in any clause order, so the tree is that of plain unit propagation.
+    Backtracking is chronological and mutates only the trail.
     """
     if cnf.num_vars > max_vars:
         raise TooLarge(f"naive checker capped at {max_vars} variables")
@@ -689,44 +692,47 @@ def cnf_satisfiable(cnf: CnfInstance, max_vars: int = 4000) -> bool:
         return False
     if any(not 0 < abs(lit) <= n for cl in cnf.clauses for lit in cl):
         raise DomainError(f"a literal names no variable in 1..{n}")
-    # indexed by literal: slot -v of a list of length 2n+1 is literal -v
-    value: list[bool | None] = [None] * (2 * n + 1)
-    watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
-    trail: list[int] = []
-
-    def assign(lit: int) -> bool:
-        if value[lit] is None:
-            value[lit], value[-lit] = True, False
-            trail.append(lit)
-        return bool(value[lit])
+    short: list[tuple[int, ...]] = []
+    top = n
+    for raw in cnf.clauses:
+        cl = list(dict.fromkeys(raw))
+        if any(-lit in raw for lit in cl):  # a tautology always holds
+            continue
+        while len(cl) > 3:
+            top += 1
+            short.append((cl[0], cl[1], top))
+            cl[:2] = [-top]
+        short.append((*cl, 0, 0)[:3])
+    # indexed by literal: slot -v of a list of length 2 top+1 is literal -v;
+    # literal 0 starts the trail false, so propagating it forces the units
+    value: list[bool | None] = [None] * (2 * top + 1)
+    value[0] = False
+    trail = [0]
+    occurs: list[list[tuple[int, int]]] = [[] for _ in range(2 * top + 1)]
+    for a, b, c in short:
+        occurs[a].append((b, c))
+        occurs[b].append((a, c))
+        occurs[c].append((a, b))
 
     def propagate(i: int) -> bool:
         while i < len(trail):
-            false_lit = -trail[i]
-            i += 1
-            ws = iter(watches[false_lit])
-            watches[false_lit] = keep = []
-            for cl in ws:
-                other = cl[0]
-                if other == false_lit:
-                    other = cl[0] = cl[1]
-                    cl[1] = false_lit
-                if value[other]:
-                    keep.append(cl)
+            for a, b in occurs[-trail[i]]:
+                va = value[a]
+                if va:
                     continue
-                for m in range(2, len(cl)):
-                    lit = cl[m]
-                    if value[lit] is not False:  # move the watch to lit
-                        cl[1], cl[m] = lit, false_lit
-                        watches[lit].append(cl)
-                        break
+                vb = value[b]
+                if vb:
+                    continue
+                if va is None:
+                    if vb is not None:
+                        value[a], value[-a] = True, False
+                        trail.append(a)
+                elif vb is None:
+                    value[b], value[-b] = True, False
+                    trail.append(b)
                 else:
-                    keep.append(cl)
-                    if value[other] is False:
-                        keep.extend(ws)
-                        return False
-                    value[other], value[-other] = True, False
-                    trail.append(other)
+                    return False
+            i += 1
         return True
 
     def undo(start: int) -> None:
@@ -734,17 +740,8 @@ def cnf_satisfiable(cnf: CnfInstance, max_vars: int = 4000) -> bool:
             value[lit] = value[-lit] = None
         del trail[start:]
 
-    for raw in cnf.clauses:
-        cl = list(dict.fromkeys(raw))
-        if len(cl) == 1:
-            if not assign(cl[0]):
-                return False
-        elif not any(-lit in raw for lit in cl):  # a tautology always holds
-            watches[cl[0]].append(cl)
-            watches[cl[1]].append(cl)
     if not propagate(0):
         return False
-
     decisions: list[tuple[int, bool, int]] = []
     v = 1
     while True:
@@ -755,7 +752,9 @@ def cnf_satisfiable(cnf: CnfInstance, max_vars: int = 4000) -> bool:
         val = True
         while True:
             start = len(trail)
-            assign(v if val else -v)
+            lit = v if val else -v
+            value[lit], value[-lit] = True, False
+            trail.append(lit)
             if propagate(start):
                 decisions.append((v, val, start))
                 v += 1

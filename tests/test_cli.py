@@ -182,6 +182,24 @@ class TestReduceCommand:
         assert code == 0
         assert target.read_text() == out
 
+    @pytest.mark.parametrize("rounds", ["0", "3"])
+    @pytest.mark.parametrize("mode", [(), ("--derandomize",)], ids=["default", "derandomize"])
+    def test_rounds_without_seed_is_usage_error(self, capsys, rounds, mode):
+        code, out, err = run(capsys, "reduce", "pipeline", "--inline", "1 2;3 4", *mode,
+                             "--rounds", rounds)
+        assert code == 2 and out == ""
+        assert "error: --rounds needs --seed" in err
+
+    def test_seeded_rounds_unchanged(self, capsys):
+        argv = ["reduce", "pipeline", "--inline", "1 2;3 4;1 3;2 4", "--seed", "3"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["rounds"] == 1
+        assert run(capsys, *argv, "--rounds", "1")[:2] == (0, out)
+        code, out, _ = run(capsys, *argv, "--rounds", "3")
+        assert code == 0 and json.loads(out)["rounds"] == 3
+        code, out, _ = run(capsys, *argv, "--rounds", "0")
+        assert code == 1 and json.loads(out)["error"] == "DomainError"
+
     def test_seed_conflicts_with_derandomize(self, capsys):
         code, _, err = run(
             capsys,
@@ -441,6 +459,26 @@ class TestCliContract:
         payload = json.loads(out)
         assert payload["error"] == "DuplicateMember"
         assert "message" in payload
+
+    def test_calls_in_a_row_match_fresh_processes(self, capsys):
+        # main reuses one parser; a call after a parse failure or after
+        # --help must print what a fresh process prints
+        argvs = [
+            ["detect", "sets", "--inline", "1;2;3"],
+            ["search", "uniform", "--k", "2", "--m", "bogus"],
+            ["bounds", "--k", "2", "--M", "6"],
+            ["reduce", "pipeline", "--help"],
+            ["reduce", "pipeline", "--inline", "1 2;3 4", "--seed", "3"],
+            ["detect", "sets", "--inline", "1;2;3", "--naive"],
+        ]
+        codes = []
+        for argv in argvs:
+            code, out, _ = run(capsys, *argv)
+            proc = subprocess.run([sys.executable, "-m", "sunflower", *argv],
+                                  capture_output=True)
+            assert (code, out.encode()) == (proc.returncode, proc.stdout), argv
+            codes.append(code)
+        assert codes == [0, 2, 0, 0, 0, 0]
 
     def test_repeat_invocations_byte_identical(self, capsys):
         argv = ["search", "uniform", "--k", "2", "--m", "5"]

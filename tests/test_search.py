@@ -748,8 +748,8 @@ class TestDpll:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_property_long_clauses_match_assignment_scan(self, data):
-        # clauses of up to 6 literals move a watch past several false
-        # literals; repeated and complementary literals are allowed
+        # clauses of up to 6 literals become chains of 3-clauses; repeated
+        # and complementary literals are allowed
         from sunflower.search import CnfInstance
 
         num_vars = data.draw(st.integers(1, 10))
@@ -767,9 +767,8 @@ class TestDpll:
 
         # (v, 7) and (v, -7) force each of 1..6 true, so the long clause
         # refutes the formula.  Deciding 1..5 true falsifies it one literal
-        # at a time: its watches move past up to three false literals before
-        # it propagates -6.  A clause that lost a watch would let the search
-        # reach a model.
+        # at a time, along its chain, before it propagates -6.  A chain that
+        # lost a link would let the search reach a model.
         long_clause = ((-1, -2, -3, -4, -5, -6),)
         forcing = tuple(c for v in range(1, 7) for c in ((v, 7), (v, -7)))
         assert not brute_cnf_satisfiable(7, long_clause + forcing)
@@ -788,6 +787,80 @@ class TestDpll:
             clauses, text = cnf.clauses, cnf.to_dimacs()
             assert cnf_satisfiable(cnf) is sat and cnf_satisfiable(cnf) is sat
             assert cnf.clauses == clauses and cnf.to_dimacs() == text
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_property_chained_clauses_match_assignment_scan(self, data):
+        # clauses of 4-9 literals become chains of 3-clauses; the short
+        # clauses beside them make a share of the formulas unsatisfiable
+        from sunflower.search import CnfInstance
+
+        num_vars = data.draw(st.integers(1, 12))
+        lit = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from((v, -v)))
+        long = data.draw(st.lists(st.lists(lit, min_size=4, max_size=9).map(tuple),
+                                  min_size=1, max_size=8))
+        short = data.draw(st.lists(st.lists(lit, min_size=1, max_size=2).map(tuple),
+                                   max_size=14))
+        clauses = tuple(data.draw(st.permutations(long + short)))
+        mine = cnf_satisfiable(CnfInstance(num_vars, clauses, ()))
+        assert mine == brute_cnf_satisfiable(num_vars, clauses)
+
+    @pytest.mark.parametrize("position", range(9))
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_nine_literal_clause_forces_each_position(self, position, order):
+        # units falsify every literal of (1 ... 9) but one, from either end of
+        # the chain, so the chain must force that one; 10 and -10 then refute it
+        from sunflower.search import CnfInstance
+
+        others = [v for v in range(1, 10) if v != position + 1]
+        if order == "descending":
+            others.reverse()
+        units = tuple((-v,) for v in others)
+        base = (tuple(range(1, 10)),) + units
+        refute = ((-(position + 1), 10), (-(position + 1), -10))
+        assert cnf_satisfiable(CnfInstance(10, base, ()))
+        assert not cnf_satisfiable(CnfInstance(10, base + refute, ()))
+        assert not brute_cnf_satisfiable(10, base + refute)
+
+    def test_chain_variables_do_not_count_against_the_cap(self):
+        from sunflower.search import CnfInstance
+
+        cnf = CnfInstance(10, (tuple(range(-1, -11, -1)),), ())
+        assert cnf_satisfiable(cnf, max_vars=10)
+        with pytest.raises(TooLarge):
+            cnf_satisfiable(cnf, max_vars=9)
+        assert cnf_satisfiable(CnfInstance(4000, (tuple(range(3991, 4001)),), ()))
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            VectorInstance(as_modulus_vector((3, 3, 3))),
+            UniformInstance(3, 6),
+            UniformInstance(2, 6),
+        ],
+        ids=["Z3^3", "uniform-3-6", "uniform-2-6"],
+    )
+    def test_satisfiable_exactly_up_to_the_searched_maximum(self, instance):
+        if isinstance(instance, VectorInstance):
+            best = max_sunflower_free_vectors(instance.moduli).maximum
+        else:
+            best = max_sunflower_free_uniform(instance.k, instance.m).maximum
+        assert cnf_satisfiable(export_cnf(instance, best))
+        assert not cnf_satisfiable(export_cnf(instance, best + 1))
+
+    @pytest.mark.parametrize(
+        "cnf, text",
+        [
+            ((2, (), ("a",)), "c a\np cnf 2 0\n"),
+            ((1, ((), (1, -1)), ()), "p cnf 1 2\n 0\n1 -1 0\n"),
+            ((3, ((1, -2, 3), (2,)), ("a", "b")), "c a\nc b\np cnf 3 2\n1 -2 3 0\n2 0\n"),
+        ],
+        ids=["no-clauses", "empty-clause", "comments"],
+    )
+    def test_dimacs_bytes(self, cnf, text):
+        from sunflower.search import CnfInstance
+
+        assert CnfInstance(*cnf).to_dimacs() == text
 
 
 class TestInstances:
