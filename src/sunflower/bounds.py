@@ -73,9 +73,7 @@ def erdos_rado_threshold(k: int, t: int) -> Fraction:
     return math.factorial(k) * Fraction(t - 1) ** k * (1 - correction)
 
 
-def _kostochka(k: int, t: int = 3, alpha: float = 2.0, constant: float = 1.0) -> ApproxValue:
-    if t != 3:
-        raise DomainError("the bound is stated for t = 3 only")
+def _kostochka(k: int, alpha: float = 2.0, constant: float = 1.0) -> ApproxValue:
     if alpha <= 1.0:
         raise DomainError("alpha must exceed 1")
     if constant <= 0.0:
@@ -94,15 +92,15 @@ def _kostochka(k: int, t: int = 3, alpha: float = 2.0, constant: float = 1.0) ->
     return _exp_with_radius(terms, extra_rel=8.0 * _EPS * k / (loglog * logloglog))
 
 
-def kostochka_value(k: int, t: int = 3, alpha: float = 2.0, constant: float = 1.0) -> float:
+def kostochka_value(k: int, alpha: float = 2.0, constant: float = 1.0) -> float:
     """constant * k! * ((ln ln ln k)^2 / (alpha * ln ln k))^k, in log-space.
 
-    The cited theorem is about 3-sunflowers only, so t must be 3.  Its
-    multiplicative constant is unspecified, so it is an explicit caller
-    parameter; reports built from this value flag it as holding only up to
-    that constant.  Natural logarithms throughout.
+    The cited theorem is about 3-sunflowers only.  Its multiplicative
+    constant is unspecified, so it is an explicit caller parameter; reports
+    built from this value flag it as holding only up to that constant.
+    Natural logarithms throughout.
     """
-    return _kostochka(k, t, alpha, constant).value
+    return _kostochka(k, alpha, constant).value
 
 
 def ns_subset_bound(n: int) -> int:

@@ -105,12 +105,10 @@ def _emit(payload: dict | list) -> None:
 
 def _cmd_detect_sets(args) -> int:
     family = parse_set_family(_read_text(args), allow_empty=args.allow_empty)
-    if args.naive or args.t != 3:
-        witness = sf.find_sunflower_sets(family, args.t)
-        detector = "naive"
+    if args.t == 3:
+        witness, detector = sf.find_sunflower_sets_fast(family), "fast"
     else:
-        witness = sf.find_sunflower_sets_fast(family)
-        detector = "fast"
+        witness, detector = sf.find_sunflower_sets(family, args.t), "naive"
     _emit(
         {
             "found": witness is not None,
@@ -247,9 +245,7 @@ def _cnf_parser(subs, name: str, help_text: str, handler) -> None:
 
 
 def _cmd_search_vectors(args) -> int:
-    result = sf.max_sunflower_free_vectors(
-        _parse_moduli(args.moduli), anchor=not args.no_anchor, **_budgets(args)
-    )
+    result = sf.max_sunflower_free_vectors(_parse_moduli(args.moduli), **_budgets(args))
     _emit(result.to_json_dict())
     return 0
 
@@ -332,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     d_sets = dsubs.add_parser("sets", help="t-petal sunflowers in a set family")
     _add_input_flags(d_sets)
     d_sets.add_argument("--t", type=int, default=3, help="number of petals (default 3)")
-    d_sets.add_argument("--naive", action="store_true", help="force the definitional scan")
     d_sets.add_argument("--allow-empty", action="store_true",
                         help="accept blank lines as empty members")
     d_sets.set_defaults(handler=_cmd_detect_sets)
@@ -368,10 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(r_pipe)
     r_pipe.add_argument("--allow-empty", action="store_true",
                         help="accept blank lines as empty members")
-    mode = r_pipe.add_mutually_exclusive_group()
-    mode.add_argument("--seed", type=int, default=None, help="seeded random partition")
-    mode.add_argument("--derandomize", action="store_true",
-                      help="conditional-expectation partition (default)")
+    r_pipe.add_argument("--seed", type=int, help="seeded random partition")
     r_pipe.add_argument("--rounds", type=int, help="seeded rounds to try")
     r_pipe.add_argument("--threads", type=int)
     r_pipe.add_argument("--json", dest="json_out", metavar="FILE",
@@ -384,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     s_vec = ssubs.add_parser("vectors", help="maximum family over given moduli")
     s_vec.add_argument("--moduli", required=True)
     _budget_flags(s_vec)
-    s_vec.add_argument("--no-anchor", action="store_true",
-                       help="disable the symmetry anchor")
     s_vec.set_defaults(handler=_cmd_search_vectors)
 
     s_uni = ssubs.add_parser("uniform", help="maximum family of k-subsets of [m]")

@@ -73,7 +73,6 @@ def max_union(
     max_nodes: int = DEFAULT_NODE_BUDGET,
     time_limit: float | None = None,
     point_ceiling: int = DEFAULT_POINT_CEILING,
-    cover_ceiling: int = COVER_MEMBER_CEILING,
 ) -> ConjectureReport:
     """Maximize the union size over sunflower-free k-uniform families on [m].
 
@@ -95,7 +94,7 @@ def max_union(
     cover_n: int | None
     cover_members: tuple[int, ...] | None
     try:
-        cover_n, cover_members = cover_count(family, ceiling=cover_ceiling)
+        cover_n, cover_members = cover_count(family)
         cover_pass = cover_n <= 2 * k
     except TooLarge:
         cover_n, cover_members, cover_pass = None, None, None
@@ -115,15 +114,15 @@ def max_union(
     )
 
 
-def cover_count(f: SetFamily, ceiling: int = COVER_MEMBER_CEILING) -> tuple[int, tuple[int, ...]]:
+def cover_count(f: SetFamily) -> tuple[int, tuple[int, ...]]:
     """Exact minimum number of members whose union is the whole union.
 
     Branch and bound on the lowest uncovered element: each step branches
     over the members containing it, in index order.  The empty union needs
-    zero members.
+    zero members.  Families above COVER_MEMBER_CEILING members are refused.
     """
-    if len(f) > ceiling:
-        raise TooLarge(f"exact cover capped at {ceiling} members, got {len(f)}")
+    if len(f) > COVER_MEMBER_CEILING:
+        raise TooLarge(f"exact cover capped at {COVER_MEMBER_CEILING} members, got {len(f)}")
     universe = sorted(f.universe)
     if not universe:
         return 0, ()

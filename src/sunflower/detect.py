@@ -82,10 +82,8 @@ def find_sunflower_sets(family: SetFamily, t: int = 3) -> SunflowerWitness | Non
     return None
 
 
-def find_sunflower_sets_fast(family: SetFamily, t: int = 3) -> SunflowerWitness | None:
+def find_sunflower_sets_fast(family: SetFamily) -> SunflowerWitness | None:
     """Kernel scan for 3-sunflowers; agrees with find_sunflower_sets(family, 3)."""
-    if t != 3:
-        raise BadArity("the fast path handles only t = 3")
     ids = {e: i for i, e in enumerate(sorted(family.universe))}  # bitsets grow with the ids
     hit = next(CompletionKernel([[ids[e] for e in mem] for mem in family.members]).triples(), None)
     if hit is None:
@@ -184,10 +182,8 @@ class CompletionKernel:
                     above ^= low
 
 
-def witness_holds(family: SetFamily, witness: SunflowerWitness, t: int | None = None) -> bool:
+def witness_holds(family: SetFamily, witness: SunflowerWitness) -> bool:
     """Re-check a set witness against its family."""
-    if t is not None and len(witness.indices) != t:
-        return False
     if not all(0 <= i < len(family.members) for i in witness.indices):
         return False
     chosen = [family.members[i] for i in witness.indices]

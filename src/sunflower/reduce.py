@@ -151,7 +151,8 @@ def ek_partition(
     class index); that choice certifies |G| >= (k!/k^k) |f|.  Seeded mode
     draws one uniform assignment per round from the documented generator
     and keeps the best round (size, then lexicographically smallest
-    assignment); its guarantee holds in expectation only.  ``threads`` is
+    assignment); its guarantee holds in expectation only.  Derandomized
+    mode refuses a seed or rounds other than 1.  ``threads`` is
     accepted for API compatibility and ignored: the rounds are pure-Python
     work that threads cannot overlap.
     """
@@ -168,6 +169,8 @@ def ek_partition(
     elements = sorted(f.universe)
 
     if mode == "derandomized":
+        if seed is not None or rounds != 1:
+            raise DomainError("seed and rounds apply to seeded mode only")
         assignment = _derandomized_assignment(f, elements, k)
         return _assignment_to_result(f, elements, k, assignment)
     if mode != "seeded":
@@ -276,9 +279,7 @@ def psi_map(h: SetFamily, p: PartiteStructure) -> VectorFamily:
     return VectorFamily(moduli, tuple(vectors))
 
 
-def psi_inverse(
-    v: VectorFamily, p: PartiteStructure, labels: Mapping[int, str] | None = None
-) -> SetFamily:
+def psi_inverse(v: VectorFamily, p: PartiteStructure) -> SetFamily:
     """Inverse ranking: coordinate i selects the element of rank v_i in class i."""
     supports = _class_supports(p)
     if v.moduli.n != p.k:
@@ -295,7 +296,7 @@ def psi_inverse(
                 )
             mem.append(supports[i][r])
         members.append(frozenset(mem))
-    return SetFamily(tuple(members), labels)
+    return SetFamily(tuple(members))
 
 
 @dataclass(frozen=True)

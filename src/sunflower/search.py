@@ -10,8 +10,9 @@ between the two.  Two facts make the output canonical: improvement is
 strict, and a subtree is pruned only when it cannot beat the incumbent, so
 the family returned is the lexicographically smallest maximum family
 (greedy seeding preserves this: the greedy family is the lex-first maximal
-family, and no maximum family is lex-smaller than it).  An anchored search
-visits only [0, c] and [0, c, d], c and d canonical (see VectorInstance).
+family, and no maximum family is lex-smaller than it).  Every search over
+a point is anchored: below the root it visits only [0, c] and [0, c, d], c
+and d canonical (see VectorInstance).
 
 Triple constraints come from a detect.CompletionKernel over the points'
 features, cached in the engine's lazy table: row p, made when point p is
@@ -428,7 +429,6 @@ def _solve(
     max_nodes: int,
     time_limit: float | None,
     point_ceiling: int,
-    anchor: bool = True,
     union: bool = False,
 ) -> tuple[list[tuple[int, ...]], _Engine, list[int], bool]:
     """Run one search; return (points, engine, seed, optimal), engine.best verified.
@@ -453,7 +453,7 @@ def _solve(
         engine.seed(seed if union else engine.greedy(seed))
         # exact per the anchor argument on VectorInstance; over no points
         # only the family-size search counts the empty root as a node
-        if anchor and (points or union):
+        if points or union:
             seconds = instance.canonical_second_points()
             optimal = engine.run_anchored([(c, instance.canonical_points(points[c])) for c in seconds])
         else:
@@ -471,11 +471,10 @@ def _run_search(
     instance: Instance,
     max_nodes: int,
     time_limit: float | None,
-    anchor: bool,
     point_ceiling: int,
 ) -> SearchResult:
     started = time.perf_counter()
-    points, engine, greedy, optimal = _solve(instance, max_nodes, time_limit, point_ceiling, anchor)
+    points, engine, greedy, optimal = _solve(instance, max_nodes, time_limit, point_ceiling)
     best = engine.best
     result = SearchResult(
         instance=instance.describe(),
@@ -486,7 +485,7 @@ def _run_search(
         optimal=optimal,
         elapsed=time.perf_counter() - started,
         stats={
-            "anchored": anchor and bool(points),
+            "anchored": bool(points),
             "greedy_size": len(greedy),
             "prunes": engine.prunes,
         },
@@ -523,7 +522,6 @@ def max_sunflower_free_vectors(
     moduli,
     max_nodes: int = DEFAULT_NODE_BUDGET,
     time_limit: float | None = None,
-    anchor: bool = True,
     point_ceiling: int = DEFAULT_POINT_CEILING,
     threads: int = 1,
 ) -> SearchResult:
@@ -532,7 +530,7 @@ def max_sunflower_free_vectors(
     ``threads`` is accepted for API compatibility and ignored.
     """
     instance = VectorInstance(as_modulus_vector(moduli))
-    return _run_search(instance, max_nodes, time_limit, anchor, point_ceiling)
+    return _run_search(instance, max_nodes, time_limit, point_ceiling)
 
 
 def max_sunflower_free_uniform(
@@ -548,7 +546,7 @@ def max_sunflower_free_uniform(
     ``threads`` is accepted for API compatibility and ignored.
     """
     instance = UniformInstance(k, m)
-    return _run_search(instance, max_nodes, time_limit, True, point_ceiling)
+    return _run_search(instance, max_nodes, time_limit, point_ceiling)
 
 
 def verify_family_points(
@@ -688,10 +686,10 @@ def cnf_satisfiable(cnf: CnfInstance, max_vars: int = 4000) -> bool:
     if cnf.num_vars > max_vars:
         raise TooLarge(f"naive checker capped at {max_vars} variables")
     n = cnf.num_vars
-    if any(len(cl) == 0 for cl in cnf.clauses):
-        return False
     if any(not 0 < abs(lit) <= n for cl in cnf.clauses for lit in cl):
         raise DomainError(f"a literal names no variable in 1..{n}")
+    if any(len(cl) == 0 for cl in cnf.clauses):
+        return False
     short: list[tuple[int, ...]] = []
     top = n
     for raw in cnf.clauses:

@@ -104,10 +104,12 @@ class TestKostochka:
         )
 
     def test_only_three_sunflowers(self):
-        for t in (2, 4, 5):
-            with pytest.raises(DomainError):
+        # the theorem is about t = 3 only, so there is no petal count to pass
+        for t in (2, 3, 4):
+            with pytest.raises(TypeError):
                 kostochka_value(20, t=t)
-        assert kostochka_value(20, t=3) == kostochka_value(20)
+        report = {r.name: r for r in compare_bounds(k=20, M=21)}["kostochka"]
+        assert report.parameters["t"] == 3
 
     @pytest.mark.parametrize("k", [16, 100, 306, 10**4])
     def test_report_radius_covers_high_precision(self, k):

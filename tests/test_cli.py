@@ -34,9 +34,10 @@ class TestDetectCommands:
         }
 
     def test_sets_naive_flag(self, capsys):
-        code, out, _ = run(capsys, "detect", "sets", "--inline", "1;2;3", "--naive")
-        assert code == 0
-        assert json.loads(out)["detector"] == "naive"
+        # --t alone picks the detector; both return the lex-first witness
+        code, out, err = run(capsys, "detect", "sets", "--inline", "1;2;3", "--naive")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --naive" in err
 
     def test_sets_t_two(self, capsys):
         code, out, _ = run(capsys, "detect", "sets", "--inline", "1 2;3 4", "--t", "2")
@@ -183,7 +184,7 @@ class TestReduceCommand:
         assert target.read_text() == out
 
     @pytest.mark.parametrize("rounds", ["0", "3"])
-    @pytest.mark.parametrize("mode", [(), ("--derandomize",)], ids=["default", "derandomize"])
+    @pytest.mark.parametrize("mode", [()], ids=["default"])
     def test_rounds_without_seed_is_usage_error(self, capsys, rounds, mode):
         code, out, err = run(capsys, "reduce", "pipeline", "--inline", "1 2;3 4", *mode,
                              "--rounds", rounds)
@@ -201,17 +202,11 @@ class TestReduceCommand:
         assert code == 1 and json.loads(out)["error"] == "DomainError"
 
     def test_seed_conflicts_with_derandomize(self, capsys):
-        code, _, err = run(
-            capsys,
-            "reduce",
-            "pipeline",
-            "--inline",
-            "1 2",
-            "--seed",
-            "3",
-            "--derandomize",
-        )
-        assert code == 2
+        # derandomized is the mode without --seed, so there is no flag for it
+        code, out, err = run(capsys, "reduce", "pipeline", "--inline", "1 2", "--seed", "3",
+                             "--derandomize")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --derandomize" in err
 
 
 class TestSearchCommands:
@@ -229,11 +224,12 @@ class TestSearchCommands:
         assert json.loads(out)["maximum"] == 6
 
     def test_no_anchor(self, capsys):
-        code, out, _ = run(
-            capsys, "search", "vectors", "--moduli", "3,3", "--no-anchor"
-        )
-        assert code == 0
-        assert json.loads(out)["stats"]["anchored"] is False
+        # every search with a point is anchored; the walk without it finds the same answer
+        code, out, err = run(capsys, "search", "vectors", "--moduli", "3,3", "--no-anchor")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --no-anchor" in err
+        code, out, _ = run(capsys, "search", "vectors", "--moduli", "3,3")
+        assert code == 0 and json.loads(out)["stats"]["anchored"] is True
 
     def test_budget_marks_non_optimal(self, capsys):
         code, out, _ = run(
@@ -469,7 +465,7 @@ class TestCliContract:
             ["bounds", "--k", "2", "--M", "6"],
             ["reduce", "pipeline", "--help"],
             ["reduce", "pipeline", "--inline", "1 2;3 4", "--seed", "3"],
-            ["detect", "sets", "--inline", "1;2;3", "--naive"],
+            ["detect", "sets", "--inline", "1;2;3", "--t", "2"],
         ]
         codes = []
         for argv in argvs:

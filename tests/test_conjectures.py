@@ -171,6 +171,13 @@ class TestCoverCount:
         members = tuple(frozenset({i}) for i in range(31))
         with pytest.raises(TooLarge):
             cover_count(SetFamily(members, None))
+        assert cover_count(SetFamily(members[:30], None))[0] == 30
+
+    def test_ceiling_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            cover_count(SetFamily((), None), ceiling=40)
+        with pytest.raises(TypeError):
+            max_union(2, 5, cover_ceiling=40)
 
 
 class TestConjectureScan:

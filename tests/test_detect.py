@@ -110,7 +110,8 @@ class TestFindSets:
         assert w == find_sunflower_sets(f, 3) and w.indices == (0, 1, 3)
 
     def test_fast_requires_three_petals(self):
-        with pytest.raises(BadArity):
+        # the fast path takes no petal count: find_sunflower_sets handles t != 3
+        with pytest.raises(TypeError):
             find_sunflower_sets_fast(fam("1\n2\n"), t=2)
 
     def test_naive_pair_witness(self):
@@ -133,6 +134,8 @@ class TestFindSets:
         assert witness_holds(f, w)
         bad = fam("1 2\n2 3\n1 3\n")
         assert not witness_holds(bad, w)
+        with pytest.raises(TypeError):
+            witness_holds(f, w, t=3)  # the witness fixes its own petal count
 
     def test_witness_holds_rejects_indices_outside_the_family(self):
         f = fam("1\n2\n3\n")

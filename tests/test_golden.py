@@ -26,8 +26,7 @@ CASES = [  # (name, argv, exit code)
     ("search-vectors-444", ["search", "vectors", "--moduli", "4,4,4"], 0),
     ("search-vectors-3333-budget",
      ["search", "vectors", "--moduli", "3,3,3,3", "--budget-nodes", "20000"], 0),
-    ("search-vectors-2223-no-anchor",
-     ["search", "vectors", "--moduli", "2,2,2,3", "--no-anchor"], 0),
+    ("search-vectors-2223", ["search", "vectors", "--moduli", "2,2,2,3"], 0),
     ("search-uniform-3-7", ["search", "uniform", "--k", "3", "--m", "7"], 0),
     ("search-uniform-3-8", ["search", "uniform", "--k", "3", "--m", "8"], 0),
     ("search-uniform-2-8-budget",

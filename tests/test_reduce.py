@@ -168,6 +168,17 @@ class TestEkPartition:
         with pytest.raises(DomainError):
             ek_partition(fam, mode="seeded")
 
+    @pytest.mark.parametrize("run", [ek_partition, pipeline], ids=["ek_partition", "pipeline"])
+    @pytest.mark.parametrize("extra", [{"seed": 7}, {"seed": 3, "rounds": -5}, {"rounds": 0},
+                                       {"rounds": 2}])
+    def test_derandomized_refuses_seed_and_rounds(self, run, extra):
+        fam = parse_set_family("1 2\n3 4\n1 3\n2 4\n")
+        with pytest.raises(DomainError, match="seeded mode only"):
+            run(fam, **extra)
+        with pytest.raises(DomainError, match="seeded mode only"):
+            run(fam, mode="derandomized", **extra)
+        run(fam, rounds=1)
+
     def test_mixed_sizes_rejected_even_with_explicit_k(self):
         fam = parse_set_family("1\n2 3\n")
         with pytest.raises(DomainError):
@@ -293,6 +304,13 @@ class TestPsi:
         v = VectorFamily(ModulusVector((3,)), ((2,),))  # rank 2, class size 2
         with pytest.raises(OutOfRange):
             psi_inverse(v, p)
+
+    def test_inverse_takes_no_labels(self):
+        p = PartiteStructure((frozenset({0, 1}),))
+        v = VectorFamily(ModulusVector((3,)), ((1,),))
+        assert psi_inverse(v, p).labels is None
+        with pytest.raises(TypeError):
+            psi_inverse(v, p, labels={1: "a"})
 
     def test_inverse_arity_check(self):
         p = PartiteStructure((frozenset({0, 1}),))

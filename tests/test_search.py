@@ -173,13 +173,23 @@ class TestFreeSetWalk:
             assert brute_max_free(order, "sets") == brute_max_free_descent(order, "sets")
 
 
+def unanchored_walk(inst, union=False):
+    """The engine's walk from the empty root, seeded as the search driver seeds it."""
+    kernel = CompletionKernel(inst.features(inst.points()))
+    engine = _Engine(kernel, 10**9, None, weights=kernel.rows if union else None)
+    engine.seed([0] if union else engine.greedy())
+    assert engine.run([], kernel.full)
+    return engine
+
+
 class TestSearchMechanics:
     def test_anchor_does_not_change_the_maximum(self):
-        a = max_sunflower_free_vectors((3, 3), anchor=True)
-        b = max_sunflower_free_vectors((3, 3), anchor=False)
-        assert a.maximum == b.maximum
-        assert a.witness_points == b.witness_points
-        assert a.stats["anchored"] and not b.stats["anchored"]
+        a = max_sunflower_free_vectors((3, 3))
+        b = unanchored_walk(VectorInstance(as_modulus_vector((3, 3))))
+        assert (a.maximum, list(a.witness_indices)) == (b.best_value, b.best)
+        assert a.stats["anchored"]
+        with pytest.raises(TypeError):
+            max_sunflower_free_vectors((3, 3), anchor=False)
 
     def test_anchored_witness_contains_the_zero_point(self):
         r = max_sunflower_free_vectors((3, 3, 3))
@@ -422,11 +432,11 @@ class TestSymmetryAnchor:
         "moduli", [(3, 4, 3), (2, 3, 2), (3, 2, 3), (2, 2, 2, 3), (4, 4), (5, 3)]
     )
     def test_anchor_keeps_the_maximum_and_the_witness(self, moduli):
-        a = max_sunflower_free_vectors(moduli, anchor=True)
-        b = max_sunflower_free_vectors(moduli, anchor=False)
-        assert a.optimal and b.optimal
-        assert (a.maximum, a.witness_indices) == (b.maximum, b.witness_indices)
-        assert a.nodes_explored < b.nodes_explored
+        a = max_sunflower_free_vectors(moduli)
+        b = unanchored_walk(VectorInstance(as_modulus_vector(moduli)))
+        assert a.optimal
+        assert (a.maximum, list(a.witness_indices)) == (b.best_value, b.best)
+        assert a.nodes_explored < b.nodes
 
     def test_uniform_search_is_anchored_when_it_has_a_point(self):
         assert max_sunflower_free_uniform(2, 5).stats["anchored"] is True
@@ -449,12 +459,16 @@ class TestSymmetryAnchor:
     @staticmethod
     def unanchored_mismatches(cells, union=False):
         """The cells whose anchored (maximum, witness) differs from the unanchored ones."""
-        def solve(inst, anchor):
-            _, engine, _, optimal = search._solve(inst, 10**9, None, 2**16, anchor, union)
+        def anchored(inst):
+            _, engine, _, optimal = search._solve(inst, 10**9, None, 2**16, union)
             assert optimal
             return engine.best_value, engine.best
 
-        return [inst for inst in cells if solve(inst, True) != solve(inst, False)]
+        def unanchored(inst):
+            engine = unanchored_walk(inst, union)
+            return engine.best_value, engine.best
+
+        return [inst for inst in cells if anchored(inst) != unanchored(inst)]
 
     # (4, 4, 4) is left out: unanchored, it walks 6.7M nodes
     WITNESS_CELLS = [inst for inst in ORBIT_CELLS if inst.point_count() < 64] + [
@@ -475,6 +489,28 @@ class TestSymmetryAnchor:
             canonical_points = cls.canonical_points
             monkeypatch.setattr(cls, "canonical_points", lambda self, u=None, f=canonical_points: f(self))
         assert self.unanchored_mismatches(self.WITNESS_CELLS)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            *(VectorInstance(as_modulus_vector(m)) for m in [(3, 3), (3, 4), (2, 3, 3), (4, 4)]),
+            UniformInstance(2, 6),
+            UniformInstance(3, 6),
+        ],
+        ids=cell_id,
+    )
+    def test_anchored_search_matches_the_unanchored_oracle_walk(self, inst):
+        # the oracle walks every family from the empty root with the
+        # definitional triple test only: no kernel, no anchor, no symmetry
+        if isinstance(inst, VectorInstance):
+            r = max_sunflower_free_vectors(inst.moduli)
+            kind, points = "vectors", inst.points()
+        else:
+            r = max_sunflower_free_uniform(inst.k, inst.m)
+            kind, points = "sets", [frozenset(p) for p in inst.points()]
+        _, _, best = brute_branch_and_bound(points, kind, [], greedy_lower_bound(inst))
+        assert r.optimal
+        assert (r.maximum, list(r.witness_indices)) == (len(best), best)
 
     def test_root_that_cannot_beat_the_seed_is_one_pruned_node(self):
         # greedy takes all of Z2^5, so no start [0, c] can beat it
@@ -724,6 +760,13 @@ class TestDpll:
 
         with pytest.raises(DomainError):
             cnf_satisfiable(CnfInstance(2, clauses, ()))
+
+    def test_literals_are_checked_before_an_empty_clause_answers(self):
+        from sunflower.search import CnfInstance
+
+        for clauses in [((), (5,)), ((5,),)]:
+            with pytest.raises(DomainError, match="no variable in 1..2"):
+                cnf_satisfiable(CnfInstance(2, clauses, ()))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
