@@ -15,7 +15,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--q-min", type=int, default=3)
     ap.add_argument("--q-max", type=int, default=64)
-    ap.add_argument("--tol", type=float, default=1e-12)
     ap.add_argument("--out", help="CSV path (default: stdout)")
     args = ap.parse_args(argv)
     if args.q_min < 2 or args.q_max < args.q_min:
@@ -26,7 +25,7 @@ def main(argv=None) -> int:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["q", "x_star", "j", "radius"])
         for q in range(args.q_min, args.q_max + 1):
-            res = j_constant(q, tol=args.tol)
+            res = j_constant(q)
             writer.writerow([q, repr(res.x_star), repr(res.j_value), repr(res.error_radius)])
     finally:
         if args.out:

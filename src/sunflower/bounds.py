@@ -149,10 +149,11 @@ class JMinimizationResult:
         }
 
 
-_J_REL_TOL = 1e-6  # bisection stop, relative to s* (about 2.15 / q)
+_J_ABS_TOL = 1e-12  # bisection stop: bracket width in s, absolute
+_J_REL_TOL = 1e-6  # and relative to s* (about 2.15 / q)
 
 
-def j_constant(q: int, tol: float = 1e-12) -> JMinimizationResult:
+def j_constant(q: int) -> JMinimizationResult:
     """Minimize the J objective by bisection on the sign of its slope.
 
     With x = exp(-s) the log objective is
@@ -160,8 +161,9 @@ def j_constant(q: int, tol: float = 1e-12) -> JMinimizationResult:
     log(sum_{i<q} e^{-i s}) + (q-1) s / 3 and so strictly convex.  Its slope
     phi'(s) = q / expm1(q s) - 1 / expm1(s) + (q-1)/3 is negative at s = 1/q
     and positive at s = 3/q, so bisection keeps the root bracketed until the
-    bracket is below tol (the x bracket is no wider than the s bracket) and
-    below _J_REL_TOL of s, or until no double lies between its ends.  By
+    bracket is at most _J_ABS_TOL (the x bracket is no wider than the s
+    bracket) and at most _J_REL_TOL of s.  A wider bracket holds many
+    doubles, since s <= 1.5, so each midpoint lies strictly inside.  By
     convexity phi(s) - min phi <= |phi'(s)| |s - s_root|, and the radius is
     J (|phi'(s)| (hi - lo) + 64 eps magnitude), the last term being the
     rounding budget of the evaluation.  q is capped at 2^53, the last q that
@@ -171,17 +173,13 @@ def j_constant(q: int, tol: float = 1e-12) -> JMinimizationResult:
         raise DomainError("q must be at least 2")
     if q > 2**53:
         raise DomainError("q above 2^53 is not exact as a double")
-    if not tol >= 1e-12:  # NaN too
-        raise DomainError("tolerance below 1e-12 is not supported")
 
     def slope(s: float) -> float:
         return q / math.expm1(q * s) - 1.0 / math.expm1(s) + (q - 1) / 3.0
 
     lo, hi = 1.0 / q, 3.0 / q
-    while hi - lo > tol or hi - lo > lo * _J_REL_TOL:
+    while hi - lo > _J_ABS_TOL or hi - lo > lo * _J_REL_TOL:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
         if slope(mid) < 0.0:
             lo = mid
         else:

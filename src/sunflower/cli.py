@@ -10,7 +10,6 @@ Wall-clock timings never enter the JSON.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from functools import cache, partial
@@ -80,20 +79,6 @@ def _parse_range(text: str) -> list[int]:
         return [int(text)]
     except ValueError as exc:
         raise UsageError(f"bad range {text!r}") from exc
-
-
-def _check_threads(value: int | None) -> None:
-    """Check --threads, or else SUNFLOWER_THREADS; the library ignores the count."""
-    if value is None:
-        env = os.environ.get("SUNFLOWER_THREADS")
-        if not env:
-            return
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise UsageError(f"bad SUNFLOWER_THREADS value {env!r}") from exc
-    if value < 1:
-        raise UsageError("thread count must be at least 1")
 
 
 def _emit(payload: dict | list) -> None:
@@ -190,7 +175,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_bounds_j(args) -> int:
-    _emit(sf.j_constant(args.q, args.tol).to_json_dict())
+    _emit(sf.j_constant(args.q).to_json_dict())
     return 0
 
 
@@ -351,10 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     bsubs = bounds_p.add_subparsers(dest="bounds_cmd", metavar="[j]")
     b_j = bsubs.add_parser("j", help="minimize the J objective")
     b_j.add_argument("--q", type=int, required=True, help="the base q, from 2 to 2^53")
-    b_j.add_argument("--tol", type=float, default=1e-12,
-                     help="stop once the bracket in s = -log x is narrower than TOL and than "
-                          "1e-6 of s, so a TOL above about 1.5e-6 changes nothing; at least "
-                          "1e-12 (default 1e-12)")
     b_j.set_defaults(handler=_cmd_bounds_j)
 
     reduce_p = subs.add_parser("reduce", help="structural reductions")
@@ -384,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     _budget_flags(s_uni)
     s_uni.set_defaults(handler=_cmd_search_uniform)
 
-    _cnf_parser(ssubs, "cnf", "export a DIMACS encoding", _cmd_cnf_export)
-
     cnf_p = subs.add_parser("cnf", help="CNF export and the naive checker")
     csubs = cnf_p.add_subparsers(dest="cnf_cmd", required=True, metavar="WHAT")
     _cnf_parser(csubs, "export", "export a DIMACS encoding", _cmd_cnf_export)
@@ -413,8 +392,8 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        if hasattr(args, "threads"):
-            _check_threads(args.threads)
+        if getattr(args, "threads", None) is not None and args.threads < 1:
+            raise UsageError("thread count must be at least 1")  # the library ignores it
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 from .detect import bitset
 from .errors import DomainError, TooLarge
 from .model import EXACT_INT, SetFamily
-from .search import DEFAULT_NODE_BUDGET, DEFAULT_POINT_CEILING, UniformInstance, _solve
+from .search import DEFAULT_NODE_BUDGET, UniformInstance, _deadline, _solve
 
 COVER_MEMBER_CEILING = 30
 
@@ -72,7 +72,6 @@ def max_union(
     m: int,
     max_nodes: int = DEFAULT_NODE_BUDGET,
     time_limit: float | None = None,
-    point_ceiling: int = DEFAULT_POINT_CEILING,
 ) -> ConjectureReport:
     """Maximize the union size over sunflower-free k-uniform families on [m].
 
@@ -81,13 +80,17 @@ def max_union(
     union, and its bound is that union with every still-admissible member.
     Seeded with [point 0], it runs with search's three-point anchor, whose
     node [0, c] is visited before its thirds (it can be the witness), and
-    shares its point ceiling, budgets and interrupt handling.  The witness
-    is the first maximum family in tuple order (a prefix first), verified
-    sunflower-free by the driver.
+    shares its point ceiling (DEFAULT_POINT_CEILING), budgets and interrupt
+    handling.  The witness is the first maximum family in tuple order (a
+    prefix first), verified sunflower-free by the driver.
     """
+    return _max_union(k, m, max_nodes, _deadline(max_nodes, time_limit))
+
+
+def _max_union(k: int, m: int, max_nodes: int, deadline: float | None) -> ConjectureReport:
     started = time.perf_counter()
     instance = UniformInstance(k, m)
-    points, engine, _, optimal = _solve(instance, max_nodes, time_limit, point_ceiling, union=True)
+    points, engine, _, optimal = _solve(instance, max_nodes, deadline, union=True)
     witness = tuple(points[i] for i in engine.best)
     family = SetFamily(tuple(frozenset(p) for p in witness))
 
@@ -168,8 +171,11 @@ def conjecture_scan(
 ) -> list[ConjectureReport]:
     """One report per (k, m) cell, k-major order.
 
-    ``threads`` is accepted for API compatibility and ignored: the cells are
-    pure-Python work that threads cannot overlap.
+    The budgets bound the whole scan: one deadline, set at call start, and
+    one node budget, of which each cell gets what the cells before it left.
+    A cell left with nothing reports its seed with optimal false.  ``threads``
+    is accepted for API compatibility and ignored: the cells are pure-Python
+    work that threads cannot overlap.
     """
     cells = []
     for k in ks:
@@ -178,7 +184,12 @@ def conjecture_scan(
                 raise DomainError("k and m must be at least 1")
             if k <= m:
                 cells.append((k, m))
-    return [max_union(k, m, max_nodes=max_nodes, time_limit=time_limit) for k, m in cells]
+    deadline = _deadline(max_nodes, time_limit)
+    reports = []
+    for k, m in cells:
+        reports.append(_max_union(k, m, max_nodes, deadline))
+        max_nodes = max(0, max_nodes - reports[-1].nodes_explored)
+    return reports
 
 
 def scan_to_csv(reports: Sequence[ConjectureReport]) -> str:

@@ -76,10 +76,6 @@ class SetFamily:
             out |= mem
         return frozenset(out)
 
-    @property
-    def ground_size(self) -> int:
-        return len(self.universe)
-
     @cached_property
     def uniformity(self) -> int | None:
         """Common member size, or None when sizes are mixed or the family is empty."""
@@ -118,7 +114,7 @@ class SetFamily:
 
 def union_size(family: SetFamily) -> int:
     """Number of elements appearing in at least one member."""
-    return family.ground_size
+    return len(family.universe)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ from .model import (
 DEFAULT_POINT_CEILING = 2**16
 DEFAULT_NODE_BUDGET = 10**9
 CNF_POINT_CEILING = 5000
+CNF_VAR_CEILING = 4000
 _TIME_CHECK_STRIDE = 4096
 _MEMO_WINDOW = 4  # path-memo levels read and written below the current one
 
@@ -102,7 +103,10 @@ class VectorInstance:
     # So F* is a node [0, c], c canonical, or lies under a start [0, c, d],
     # d = c_c(d), which keeps every candidate above d.  Greedy is unaffected.
     def canonical_points(self, u: tuple[int, ...] | None = None) -> list[int]:
-        """Sorted indices of the points c_u(x), u point 0 by default (see above)."""
+        """Sorted indices of the points c_u(x), u point 0 by default (see above).
+
+        c(x): the 0/1 vectors with their 1s last in each class of equal modulus.
+        """
         moduli = self.moduli.moduli
         classes: dict[tuple[int, int], list[int]] = {}  # (modulus, u_i) -> strides
         for i, (d, v) in enumerate(zip(moduli, u or [0] * len(moduli))):
@@ -113,10 +117,6 @@ class VectorInstance:
             runs = combinations_with_replacement(values, len(strides))
             offsets.append([sum(map(mul, run, strides)) for run in runs])
         return sorted(map(sum, product(*offsets)))
-
-    def canonical_second_points(self) -> list[int]:
-        """Sorted indices of the points c(x), x != 0 (see above)."""
-        return self.canonical_points()[1:]
 
     def features(self, points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         return vector_features(self.moduli, points)
@@ -148,7 +148,10 @@ class UniformInstance:
         return "{" + ",".join(str(e) for e in point) + "}"
 
     def canonical_points(self, u: tuple[int, ...] | None = None) -> list[int]:
-        """Sorted indices of the k-subsets c_u(x), u point 0 by default (see VectorInstance)."""
+        """Sorted indices of the k-subsets c_u(x), u point 0 by default (see VectorInstance).
+
+        c(x): {0..t-1} | {k..2k-t-1} for t = k, k-1, ..., 0, t = k being point 0.
+        """
         k, m, top = self.k, self.m, self.point_count() - 1
         blocks: dict[tuple[bool, bool], list[int]] = {}  # A & u, A - u, u - A, the rest
         for e in range(m):
@@ -161,10 +164,6 @@ class UniformInstance:
         )
         # lex rank of a sorted k-subset s: C(m, k) - 1 - sum_i C(m - 1 - s_i, k - i)
         return sorted(top - sum(comb(m - 1 - e, k - i) for i, e in enumerate(s)) for s in subsets)
-
-    def canonical_second_points(self) -> list[int]:
-        """Sorted indices of {0..t-1} | {k..2k-t-1}, 0 <= t < k (see VectorInstance)."""
-        return self.canonical_points()[1:]
 
     def features(self, points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         return points
@@ -424,11 +423,20 @@ def greedy_lower_bound(instance: Instance) -> list[int]:
     return _Engine(kernel, DEFAULT_NODE_BUDGET, None).greedy()
 
 
+def _deadline(max_nodes: int, time_limit: float | None) -> float | None:
+    """Check both budgets; return the clock reading time_limit from now, or None."""
+    if max_nodes < 0:
+        raise DomainError("max_nodes cannot be negative")
+    if time_limit is not None and not time_limit >= 0:
+        raise DomainError("time_limit must be a non-negative number of seconds")
+    return None if time_limit is None else time.monotonic() + time_limit
+
+
 def _solve(
     instance: Instance,
     max_nodes: int,
-    time_limit: float | None,
-    point_ceiling: int,
+    deadline: float | None,
+    point_ceiling: int = DEFAULT_POINT_CEILING,
     union: bool = False,
 ) -> tuple[list[tuple[int, ...]], _Engine, list[int], bool]:
     """Run one search; return (points, engine, seed, optimal), engine.best verified.
@@ -436,14 +444,9 @@ def _solve(
     union maximizes the union size from the seed [point 0], not greedy: its
     witness must stay the first maximum in tuple order, where a prefix comes first.
     """
-    if max_nodes < 0:
-        raise DomainError("max_nodes cannot be negative")
-    if time_limit is not None and not time_limit >= 0:
-        raise DomainError("time_limit must be a non-negative number of seconds")
     count = instance.point_count()
     if count > point_ceiling:
         raise TooLarge(f"instance has {count} points, ceiling is {point_ceiling}")
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     points = instance.points()
     kernel = CompletionKernel(instance.features(points))
     # a k-subset's features are its elements, so its kernel row is its bitset
@@ -454,7 +457,7 @@ def _solve(
         # exact per the anchor argument on VectorInstance; over no points
         # only the family-size search counts the empty root as a node
         if points or union:
-            seconds = instance.canonical_second_points()
+            seconds = instance.canonical_points()[1:]
             optimal = engine.run_anchored([(c, instance.canonical_points(points[c])) for c in seconds])
         else:
             optimal = engine.run([], kernel.full)
@@ -474,7 +477,8 @@ def _run_search(
     point_ceiling: int,
 ) -> SearchResult:
     started = time.perf_counter()
-    points, engine, greedy, optimal = _solve(instance, max_nodes, time_limit, point_ceiling)
+    deadline = _deadline(max_nodes, time_limit)
+    points, engine, greedy, optimal = _solve(instance, max_nodes, deadline, point_ceiling)
     best = engine.best
     result = SearchResult(
         instance=instance.describe(),
@@ -658,7 +662,7 @@ def anchor_clauses(instance: Instance, size: int) -> tuple[tuple[int, ...], ...]
     """
     if not instance.point_count():
         return ()
-    seconds = tuple(c + 1 for c in instance.canonical_second_points())
+    seconds = tuple(c + 1 for c in instance.canonical_points()[1:])
     return ((1,), seconds) if size >= 2 else ((1,),)
 
 
@@ -669,7 +673,7 @@ def _describe_text(instance: Instance) -> str:
     return f"{d['k']}-subsets of a {d['m']}-element ground set"
 
 
-def cnf_satisfiable(cnf: CnfInstance, max_vars: int = 4000) -> bool:
+def cnf_satisfiable(cnf: CnfInstance) -> bool:
     """DPLL over static occurrence lists of 3-literal clauses; tiny instances only.
 
     Branches on the lowest unassigned variable, true first, so the decision
@@ -681,10 +685,12 @@ def cnf_satisfiable(cnf: CnfInstance, max_vars: int = 4000) -> bool:
     holding it is skipped if one of its other two literals is true, else
     forces the one not yet false or is a conflict.  The fixpoint is the same
     in any clause order, so the tree is that of plain unit propagation.
-    Backtracking is chronological and mutates only the trail.
+    Backtracking is chronological and mutates only the trail.  Formulas over
+    more than CNF_VAR_CEILING input variables are refused (chain variables
+    do not count).
     """
-    if cnf.num_vars > max_vars:
-        raise TooLarge(f"naive checker capped at {max_vars} variables")
+    if cnf.num_vars > CNF_VAR_CEILING:
+        raise TooLarge(f"naive checker capped at {CNF_VAR_CEILING} variables")
     n = cnf.num_vars
     if any(not 0 < abs(lit) <= n for cl in cnf.clauses for lit in cl):
         raise DomainError(f"a literal names no variable in 1..{n}")

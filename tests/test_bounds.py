@@ -1,7 +1,9 @@
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +33,12 @@ from sunflower import (
     EXACT_RATIONAL,
     FLOAT_APPROX,
     DomainError,
+    Factorization,
     InapplicableFactor,
+    JMinimizationResult,
     NotPrimePower,
     SplitMix64,
+    TooLarge,
     UsageError,
     balanced_bound,
     c_d,
@@ -185,10 +190,12 @@ class TestJConstant:
         assert 256 / 257 < r.x_star < 1
 
     @pytest.mark.parametrize("q,tol", [(10**12, 1e-6), (10**12, 1e-12), (10**13, 1e-12), (2**53, 1e-12)])
-    def test_minimizer_near_one_against_high_precision(self, q, tol):
-        # the bracket's stop rule follows s* = -log x_star, about 2.15 / q
+    def test_minimizer_near_one_against_high_precision(self, monkeypatch, q, tol):
+        # the bracket's stop rule follows s* = -log x_star, about 2.15 / q,
+        # whatever the absolute stop width
+        monkeypatch.setattr(bounds, "_J_ABS_TOL", tol)
         _, ref = mp_j_constant(q)
-        r = j_constant(q, tol)
+        r = j_constant(q)
         assert abs(r.j_value - float(ref)) <= r.error_radius <= 1e-11
 
     @settings(max_examples=30, deadline=None)
@@ -197,9 +204,11 @@ class TestJConstant:
         tol=st.sampled_from([1e-12, 1e-3]),
     )
     def test_property_radius_covers_high_precision(self, e, tol):
+        # tol is the absolute stop width; 1e-3 leaves a wide final bracket
         q = min(max(round(2.0**e), 2), 2**53)  # log-uniform over 2..2^53
         _, ref = mp_j_constant(q)
-        r = j_constant(q, tol)
+        with mock.patch.object(bounds, "_J_ABS_TOL", tol):
+            r = j_constant(q)
         assert abs(r.j_value - float(ref)) <= r.error_radius <= 1e-11
 
     def test_slope_root_is_bracketed_by_one_and_three_over_q(self):
@@ -226,14 +235,11 @@ class TestJConstant:
     def test_domain(self):
         with pytest.raises(DomainError):
             j_constant(1)
-        with pytest.raises(DomainError):
-            j_constant(3, tol=1e-15)
 
-    @pytest.mark.parametrize("tol", [math.nan, -math.inf])
-    def test_tol_must_be_at_least_1e_12(self, tol):
-        # NaN fails every comparison, so only tol >= 1e-12 passes the check
-        with pytest.raises(DomainError):
-            j_constant(3, tol)
+    def test_tol_is_not_a_parameter(self):
+        # the stop rule is fixed: width at most 1e-12 and at most 1e-6 of s
+        with pytest.raises(TypeError):
+            j_constant(3, tol=1e-6)
 
     def test_json_shape(self):
         d = j_constant(5).to_json_dict()
@@ -488,6 +494,44 @@ class TestCompareBounds:
         reports = compare_bounds(moduli=(4, 5, 6))
         keyed = [(r.numeric(), r.name) for r in reports]
         assert keyed == sorted(keyed)
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        pytest.param(lambda: kostochka_value(16, alpha=1.0), DomainError("alpha must exceed 1"),
+                     id="kostochka-alpha"),
+        pytest.param(lambda: kostochka_value(16, constant=0.0),
+                     DomainError("constant must be positive"), id="kostochka-constant"),
+        pytest.param(lambda: ns_subset_bound(0), DomainError("n must be at least 1"), id="ns-subset"),
+        pytest.param(lambda: ns_vector_bound(3, 0), DomainError("n must be at least 1"),
+                     id="ns-vector"),
+        pytest.param(lambda: eg_vector_bound(3, 0), DomainError("n must be at least 1"),
+                     id="eg-vector"),
+        pytest.param(lambda: crt_bound(9, 0), DomainError("n must be at least 1"), id="crt"),
+        pytest.param(lambda: balanced_bound(0, 4), DomainError("n must be at least 1"),
+                     id="balanced"),
+        pytest.param(lambda: main_bound(0, 4), DomainError("k must be at least 1"), id="main"),
+        pytest.param(lambda: corollary_bound(0, 0.5), DomainError("k must be at least 1"),
+                     id="corollary"),
+        pytest.param(lambda: crt_bound(9, 2, mode="recursive"),
+                     DomainError("recursive mode needs per-factor bounds"), id="crt-recursive"),
+        pytest.param(lambda: factorize(2**63 + 1),
+                     TooLarge("factorization supported up to 2^63"), id="factorize-2^63+1"),
+        pytest.param(lambda: JMinimizationResult(3, 1.0, 1.0, 0.0),
+                     DomainError("minimizer must lie strictly inside (0,1)"), id="j-x-star-1"),
+        pytest.param(lambda: JMinimizationResult(3, 0.0, 1.0, 0.0),
+                     DomainError("minimizer must lie strictly inside (0,1)"), id="j-x-star-0"),
+        pytest.param(lambda: factorize(360).value, 360, id="factorization-value"),
+        pytest.param(lambda: Factorization(()).value, 1, id="factorization-value-empty"),
+    ],
+)
+def test_checks_no_other_test_reaches(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            call()
+    else:
+        assert call() == expected
 
 
 @given(st.integers(1, 9), st.integers(2, 5))

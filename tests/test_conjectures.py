@@ -25,7 +25,7 @@ from sunflower import (
     parse_set_family,
     scan_to_csv,
 )
-from sunflower import search
+from sunflower import conjectures, search
 from sunflower.detect import CompletionKernel
 from sunflower.search import _TIME_CHECK_STRIDE
 
@@ -79,8 +79,11 @@ class TestMaxUnion:
             max_union(2, 0)
 
     def test_point_ceiling(self):
-        with pytest.raises(TooLarge):
-            max_union(6, 24, point_ceiling=1000)
+        # the ceiling is search's DEFAULT_POINT_CEILING, not a parameter
+        with pytest.raises(TypeError):
+            max_union(2, 5, point_ceiling=10)
+        with pytest.raises(TooLarge, match="ceiling is 65536"):
+            max_union(6, 24)
 
     def test_default_point_ceiling_refuses_c_75_3(self):
         with pytest.raises(TooLarge, match="67525 points, ceiling is 65536"):
@@ -173,6 +176,14 @@ class TestCoverCount:
             cover_count(SetFamily(members, None))
         assert cover_count(SetFamily(members[:30], None))[0] == 30
 
+    def test_max_union_reports_no_cover_above_the_ceiling(self, monkeypatch):
+        # max_union(2, 6) has 5 members, above a ceiling of 4
+        monkeypatch.setattr(conjectures, "COVER_MEMBER_CEILING", 4)
+        rep = max_union(2, 6)
+        assert (rep.max_union, len(rep.witness)) == (6, 5)
+        assert (rep.cover_count, rep.cover_members, rep.cover_pass) == (None, None, None)
+        assert rep.to_csv_row() == "2,6,6,5,1.5,,,4,True,7"
+
     def test_ceiling_is_not_a_parameter(self):
         with pytest.raises(TypeError):
             cover_count(SetFamily((), None), ceiling=40)
@@ -231,6 +242,33 @@ class TestConjectureScan:
     def test_csv_writes_none_as_empty(self):
         report = replace(conjecture_scan([2], [4])[0], cover_count=None, cover_pass=None)
         assert report.to_csv_row() == "2,4,4,3,1.0,,,4,True,4"
+
+    def test_node_budget_bounds_the_whole_scan(self):
+        # each cell alone may walk the whole budget; the scan shares one.  A
+        # budget stop costs one node past what is left, so each non-optimal
+        # cell may add one
+        reps = conjecture_scan([2, 3], range(8, 16), max_nodes=300)
+        assert len(reps) == 16
+        stopped = [r for r in reps if not r.optimal]
+        assert sum(r.nodes_explored for r in reps) <= 300 + len(stopped)
+        assert stopped and reps[0].optimal
+        for r in stopped[1:]:  # left with nothing: the seed, point 0
+            assert (r.witness, r.nodes_explored) == ((tuple(range(r.k)),), 1)
+        unbudgeted = conjecture_scan([2], range(8, 10))
+        assert [r.nodes_explored for r in reps[:2]] == [r.nodes_explored for r in unbudgeted]
+
+    def test_deadline_bounds_the_whole_scan(self, monkeypatch):
+        # one tick per clock read: the scan sets its deadline at 2.5, and
+        # each cell's engine reads the clock once before its first node, so
+        # the third cell finds the deadline passed and so does every later one
+        ticks = itertools.count()
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=ticks.__next__))
+        reps = conjecture_scan([2], range(4, 10), time_limit=2.5)
+        assert [r.optimal for r in reps] == [True, True, False, False, False, False]
+        assert [r.nodes_explored for r in reps] == [4, 5, 0, 0, 0, 0]
+        for r in reps[2:]:
+            assert (r.witness, r.max_union, r.cover_count) == (((0, 1),), 2, 1)
+        assert next(ticks) == 7
 
     def test_union_monotone_in_m(self):
         reps = conjecture_scan([2], [4, 5, 6, 7])

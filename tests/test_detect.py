@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -280,6 +281,27 @@ class TestFastMatchesNaive:
             assert (mine is None) == (ref is None)
             if mine is not None:
                 assert mine.indices == ref
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        pytest.param(lambda: kernel_of([]), BadArity("kernel of zero sets is undefined"),
+                     id="kernel-of-none"),
+        pytest.param(lambda: find_sunflower_sets(fam("1\n2\n"), 1),
+                     BadArity("sunflowers have at least two petals"), id="one-petal"),
+        pytest.param(lambda: witness_holds(fam("1\n2\n"), SunflowerWitness((0,))), False,
+                     id="witness-of-one"),
+        pytest.param(lambda: is_sunflower_vectors((0, 1), (1,), (2, 2)),
+                     BadArity("vectors must share one arity"), id="mixed-arity"),
+    ],
+)
+def test_checks_no_other_test_reaches(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            call()
+    else:
+        assert call() == expected
 
 
 @given(st.data())

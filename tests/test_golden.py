@@ -53,12 +53,12 @@ CASES = [  # (name, argv, exit code)
     ("bounds-j-q5", ["bounds", "j", "--q", "5"], 0),
 ]
 
-HELP_PATHS = [  # every parser: the root, 5 groups and 12 commands
+HELP_PATHS = [  # every parser: the root, 5 groups and 11 commands
     [],
     ["detect"], ["detect", "sets"], ["detect", "vectors"], ["detect", "ap"],
     ["bounds"], ["bounds", "j"],
     ["reduce"], ["reduce", "pipeline"],
-    ["search"], ["search", "vectors"], ["search", "uniform"], ["search", "cnf"],
+    ["search"], ["search", "vectors"], ["search", "uniform"],
     ["cnf"], ["cnf", "export"], ["cnf", "check"],
     ["conjecture"], ["conjecture", "scan"],
 ]

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,7 @@ class TestSetFamily:
     def test_union_size(self):
         fam = parse_set_family("1 2\n2 3\n")
         assert union_size(fam) == 3
+        assert not hasattr(fam, "ground_size")  # union_size is the one name
 
     def test_json_round_trip(self):
         fam = parse_set_family("b a\nc a\n")
@@ -261,6 +263,32 @@ class TestBoundReport:
         )
         d = r.to_json_dict()
         assert d["parameters"] == {"eps": "3/4", "moduli": [3, 5]}
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        pytest.param(lambda: SetFamily((frozenset({-1}),)),
+                     OutOfRange("element ids must be non-negative integers, got -1"),
+                     id="negative-id"),
+        pytest.param(lambda: SetFamily.from_json_dict({}),
+                     DomainError("set family JSON needs a 'members' key"), id="json-no-members"),
+        pytest.param(lambda: BoundReport("x", {}, 1, "exact"),
+                     DomainError("unknown exactness class 'exact'"), id="unknown-exactness"),
+        pytest.param(lambda: BoundReport("x", {}, True, EXACT_INT).to_json_dict(),
+                     DomainError("bound value cannot be boolean"), id="bool-value"),
+        pytest.param(lambda: PartiteStructure(({2, 0}, {1})).to_json_dict(),
+                     {"classes": [[0, 2], [1]]}, id="partite-json"),
+        pytest.param(lambda: SunflowerWitness((0, 1, 2), kernel={5, 3}).to_json_dict(),
+                     {"members": [0, 1, 2], "kernel": [3, 5]}, id="witness-json-no-family"),
+    ],
+)
+def test_checks_no_other_test_reaches(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            call()
+    else:
+        assert call() == expected
 
 
 class TestDumpJson:

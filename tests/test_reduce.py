@@ -381,6 +381,18 @@ class TestPipeline:
                 assert len(fam.members) <= tr.main_bound_value + tr.main_bound_radius
 
 
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        pytest.param({"k": 0}, "k must be at least 1", id="k-0"),
+        pytest.param({"mode": "random"}, "unknown partition mode 'random'", id="unknown-mode"),
+    ],
+)
+def test_checks_no_other_test_reaches(kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        ek_partition(parse_set_family("1 2\n3 4\n"), **kwargs)
+
+
 @given(st.integers(1, 6), st.integers(1, 40))
 @settings(max_examples=60, deadline=None)
 def test_property_guarantee_matches_formula(k, size):

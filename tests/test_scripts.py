@@ -65,6 +65,14 @@ def test_bounds_grid_rejects_a_reversed_or_bad_range(capsys, argv, message):
     assert message in captured.err
 
 
+def test_j_curve_has_no_tol_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        load("j_curve").main(["--tol", "1e-6"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --tol" in captured.err
+
+
 def test_j_curve_rows(capsys):
     rows = run(capsys, "j_curve", ["--q-min", "3", "--q-max", "5"])
     assert [r["q"] for r in rows] == ["3", "4", "5"]

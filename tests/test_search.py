@@ -379,7 +379,7 @@ class TestSearchMechanics:
 def anchor_starts(inst):
     """run_anchored's starts, as the search driver builds them."""
     points = inst.points()
-    return [(c, inst.canonical_points(points[c])) for c in inst.canonical_second_points()]
+    return [(c, inst.canonical_points(points[c])) for c in inst.canonical_points()[1:]]
 
 
 def cell_id(inst):
@@ -421,12 +421,14 @@ class TestSymmetryAnchor:
         ],
     )
     def test_canonical_second_points(self, instance, seconds):
-        assert instance.canonical_second_points() == seconds
+        # the canonical points after point 0; no method returns them alone
+        assert instance.canonical_points()[1:] == seconds
+        assert not hasattr(instance, "canonical_second_points")
 
     def test_uniform_canonical_points_are_the_two_block_subsets(self):
         points = UniformInstance(3, 7).points()
-        got = [points[i] for i in UniformInstance(3, 7).canonical_second_points()]
-        assert got == [(0, 1, 3), (0, 3, 4), (3, 4, 5)]
+        got = [points[i] for i in UniformInstance(3, 7).canonical_points()]
+        assert got == [(0, 1, 2), (0, 1, 3), (0, 3, 4), (3, 4, 5)]
 
     @pytest.mark.parametrize(
         "moduli", [(3, 4, 3), (2, 3, 2), (3, 2, 3), (2, 2, 2, 3), (4, 4), (5, 3)]
@@ -453,7 +455,7 @@ class TestSymmetryAnchor:
         oracle = orbit_oracle(inst)
         assert inst.canonical_points() == oracle[None]
         points = inst.points()
-        thirds = {c: inst.canonical_points(points[c]) for c in inst.canonical_second_points()}
+        thirds = {c: inst.canonical_points(points[c]) for c in inst.canonical_points()[1:]}
         assert thirds == {c: minima for c, minima in oracle.items() if c is not None}
 
     @staticmethod
@@ -865,14 +867,20 @@ class TestDpll:
         assert not cnf_satisfiable(CnfInstance(10, base + refute, ()))
         assert not brute_cnf_satisfiable(10, base + refute)
 
-    def test_chain_variables_do_not_count_against_the_cap(self):
+    def test_chain_variables_do_not_count_against_the_cap(self, monkeypatch):
         from sunflower.search import CnfInstance
 
         cnf = CnfInstance(10, (tuple(range(-1, -11, -1)),), ())
-        assert cnf_satisfiable(cnf, max_vars=10)
-        with pytest.raises(TooLarge):
-            cnf_satisfiable(cnf, max_vars=9)
         assert cnf_satisfiable(CnfInstance(4000, (tuple(range(3991, 4001)),), ()))
+        with pytest.raises(TooLarge, match="capped at 4000 variables"):
+            cnf_satisfiable(CnfInstance(4001, (tuple(range(3992, 4002)),), ()))
+        with pytest.raises(TypeError):
+            cnf_satisfiable(cnf, max_vars=10)  # the cap is CNF_VAR_CEILING alone
+        monkeypatch.setattr(search, "CNF_VAR_CEILING", 10)
+        assert cnf_satisfiable(cnf)
+        monkeypatch.setattr(search, "CNF_VAR_CEILING", 9)
+        with pytest.raises(TooLarge):
+            cnf_satisfiable(cnf)
 
     @pytest.mark.parametrize(
         "instance",
