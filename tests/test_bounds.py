@@ -236,10 +236,13 @@ class TestJConstant:
         with pytest.raises(DomainError):
             j_constant(1)
 
-    def test_tol_is_not_a_parameter(self):
+    @pytest.mark.parametrize("tol", [1e-6, math.nan, -math.inf])
+    def test_tol_is_not_a_parameter(self, tol):
         # the stop rule is fixed: width at most 1e-12 and at most 1e-6 of s
         with pytest.raises(TypeError):
-            j_constant(3, tol=1e-6)
+            j_constant(3, tol=tol)
+        with pytest.raises(TypeError):
+            j_constant(3, tol)
 
     def test_json_shape(self):
         d = j_constant(5).to_json_dict()
