@@ -46,6 +46,8 @@ CASES = [  # (name, argv, exit code)
      ["detect", "vectors", "--moduli", "3,3", "--inline", "0,0;0,1;1,0;1,1"], 0),
     ("detect-ap", ["detect", "ap", "--moduli", "3,5", "--inline", "0,0;1,2;2,4;0,3"], 0),
     ("reduce-pipeline", ["reduce", "pipeline", "--inline", "1 2;3 4;1 3;2 4"], 0),
+    ("reduce-pipeline-seeded",
+     ["reduce", "pipeline", "--inline", "1 2;3 4;1 3;2 4", "--seed", "7", "--rounds", "4"], 0),
     ("reduce-pipeline-sunflower",
      ["reduce", "pipeline", "--inline", "1 2;3 4;1 3;2 4;5 6;1 5 7"], 1),
     ("bounds-moduli-333", ["bounds", "--moduli", "3,3,3"], 0),
