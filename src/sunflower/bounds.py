@@ -260,23 +260,23 @@ def _approx_report(name: str, parameters: dict, out: ApproxValue) -> BoundReport
 
 
 def crt_bound(
-    m: int,
-    n: int,
-    mode: str = "formula",
-    factor_bounds: Mapping[int, int | float] | None = None,
+    m: int, n: int, factor_bounds: Mapping[int, int | float] | None = None
 ) -> BoundReport:
     """Bound on s(m, n) through the prime-power factorization of m.
 
-    formula mode evaluates ((prod_i J(p_i^a_i)) m)^n; a bare factor 2 has no
-    J bound and is rejected.  recursive mode multiplies caller-supplied
+    With ``factor_bounds`` (recursive mode) it multiplies the caller's
     bounds per prime-power factor (exact search values, ns_vector_bound
     values with their radii, and so on), exact when every value is an int.
+    Without them (formula mode) it evaluates ((prod_i J(p_i^a_i)) m)^n; a
+    bare factor 2 has no J bound and is rejected.  The report's ``mode``
+    parameter names the one used.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
     fac = factorize(m)
+    mode = "formula" if factor_bounds is None else "recursive"
     params: dict[str, object] = {"m": m, "n": n, "mode": mode}
-    if mode == "formula":
+    if factor_bounds is None:
         log_terms = [n * math.log(m)]
         extra_rel = 4.0 * _EPS * n
         for p, a in fac.pairs:
@@ -289,41 +289,37 @@ def crt_bound(
             log_terms.append(n * math.log(res.j_value))
             extra_rel += n * res.error_radius / res.j_value
         return _approx_report("crt-product", params, _exp_with_radius(log_terms, extra_rel))
-    if mode == "recursive":
-        if factor_bounds is None:
-            raise DomainError("recursive mode needs per-factor bounds")
-        value: int | float = 1
-        upper: int | float = 1  # prod of |factor| + radius: the product is within upper - |value|
-        exact = True
-        for p, a in fac.pairs:
-            q = p**a
-            if q not in factor_bounds:
-                raise DomainError(f"no bound supplied for factor {q}")
-            fb, fr = factor_bounds[q], 0
-            if isinstance(fb, ApproxValue):
-                fb, fr = fb.value, fb.radius
-            if not isinstance(fb, int):
-                exact = False
-            value, upper = value * fb, upper * (abs(fb) + fr)
-        params["factors"] = tuple(fac.prime_powers())
-        if exact:
-            return BoundReport(
-                name="crt-product",
-                parameters=params,
-                value=value,
-                exactness=EXACT_INT,
-                flags=("caller-supplied-factors",),
-            )
-        upper = float(upper) * (1.0 + 8.0 * _EPS * (1 + len(fac.pairs)))  # plus rounding
+    value: int | float = 1
+    upper: int | float = 1  # prod of |factor| + radius: the product is within upper - |value|
+    exact = True
+    for p, a in fac.pairs:
+        q = p**a
+        if q not in factor_bounds:
+            raise DomainError(f"no bound supplied for factor {q}")
+        fb, fr = factor_bounds[q], 0
+        if isinstance(fb, ApproxValue):
+            fb, fr = fb.value, fb.radius
+        if not isinstance(fb, int):
+            exact = False
+        value, upper = value * fb, upper * (abs(fb) + fr)
+    params["factors"] = tuple(fac.prime_powers())
+    if exact:
         return BoundReport(
             name="crt-product",
             parameters=params,
-            value=float(value),
-            exactness=FLOAT_APPROX,
-            radius=upper - abs(float(value)) if upper < math.inf else math.inf,
+            value=value,
+            exactness=EXACT_INT,
             flags=("caller-supplied-factors",),
         )
-    raise UsageError(f"unknown crt_bound mode {mode!r}")
+    upper = float(upper) * (1.0 + 8.0 * _EPS * (1 + len(fac.pairs)))  # plus rounding
+    return BoundReport(
+        name="crt-product",
+        parameters=params,
+        value=float(value),
+        exactness=FLOAT_APPROX,
+        radius=upper - abs(float(value)) if upper < math.inf else math.inf,
+        flags=("caller-supplied-factors",),
+    )
 
 
 def generalized_ns_bound(moduli) -> int:

@@ -186,12 +186,8 @@ def _cmd_reduce_pipeline(args) -> int:
     if args.seed is None and args.rounds is not None:
         raise UsageError("--rounds needs --seed")
     family = parse_set_family(_read_text(args), allow_empty=args.allow_empty)
-    if args.seed is not None:
-        rounds = {} if args.rounds is None else {"rounds": args.rounds}
-        trace = sf.pipeline(family, mode="seeded", seed=args.seed, **rounds)
-    else:
-        trace = sf.pipeline(family, mode="derandomized")
-    text = dump_json(trace.to_json_dict())
+    rounds = {} if args.rounds is None else {"rounds": args.rounds}
+    text = dump_json(sf.pipeline(family, seed=args.seed, **rounds).to_json_dict())
     if args.json_out:
         _write_text(args.json_out, text)
     sys.stdout.write(text)
@@ -202,14 +198,13 @@ def _cmd_reduce_pipeline(args) -> int:
 
 
 def _budget_flags(p: argparse.ArgumentParser, point_ceiling: bool = True) -> None:
-    """Budget flags, left unset unless given so the library's defaults apply; then --threads."""
+    """Budget flags, left unset unless given so the library's defaults apply."""
     unset = argparse.SUPPRESS
     p.add_argument("--budget-nodes", dest="max_nodes", type=int, default=unset,
                    metavar="BUDGET_NODES")
     p.add_argument("--time-limit", type=float, default=unset, metavar="SECONDS")
     if point_ceiling:
         p.add_argument("--point-ceiling", type=int, default=unset)
-    p.add_argument("--threads", type=int)
 
 
 def _budgets(args) -> dict:
@@ -218,15 +213,14 @@ def _budgets(args) -> dict:
     return {k: given[k] for k in ("max_nodes", "time_limit", "point_ceiling") if k in given}
 
 
-def _cnf_parser(subs, name: str, help_text: str, handler) -> None:
+def _cnf_parser(subs, name: str, help_text: str, handler) -> argparse.ArgumentParser:
     p = subs.add_parser(name, help=help_text)
     p.add_argument("--moduli")
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--size", type=int, required=True, help="target family size")
-    if handler is _cmd_cnf_export:
-        p.add_argument("--out", metavar="FILE", help="write DIMACS to FILE")
     p.set_defaults(handler=handler)
+    return p
 
 
 def _cmd_search_vectors(args) -> int:
@@ -346,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accept blank lines as empty members")
     r_pipe.add_argument("--seed", type=int, help="seeded random partition")
     r_pipe.add_argument("--rounds", type=int, help="seeded rounds to try")
-    r_pipe.add_argument("--threads", type=int)
     r_pipe.add_argument("--json", dest="json_out", metavar="FILE",
                         help="also write the trace to FILE")
     r_pipe.set_defaults(handler=_cmd_reduce_pipeline)
@@ -357,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_vec = ssubs.add_parser("vectors", help="maximum family over given moduli")
     s_vec.add_argument("--moduli", required=True)
     _budget_flags(s_vec)
+    s_vec.add_argument("--threads", type=int)
     s_vec.set_defaults(handler=_cmd_search_vectors)
 
     s_uni = ssubs.add_parser("uniform", help="maximum family of k-subsets of [m]")
@@ -367,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cnf_p = subs.add_parser("cnf", help="CNF export and the naive checker")
     csubs = cnf_p.add_subparsers(dest="cnf_cmd", required=True, metavar="WHAT")
-    _cnf_parser(csubs, "export", "export a DIMACS encoding", _cmd_cnf_export)
+    c_export = _cnf_parser(csubs, "export", "export a DIMACS encoding", _cmd_cnf_export)
+    c_export.add_argument("--out", metavar="FILE", help="write DIMACS to FILE")
     _cnf_parser(csubs, "check", "decide satisfiability with the naive checker", _cmd_cnf_check)
 
     conj_p = subs.add_parser("conjecture", help="probe the union-size and cover conjectures")
@@ -377,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_scan.add_argument("--m", required=True, help="m range, e.g. 4..9")
     c_scan.add_argument("--csv", metavar="FILE", help="also write CSV to FILE")
     _budget_flags(c_scan, point_ceiling=False)
+    c_scan.add_argument("--threads", type=int)
     c_scan.set_defaults(handler=_cmd_conjecture_scan)
 
     return root

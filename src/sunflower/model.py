@@ -329,9 +329,6 @@ class BoundReport:
             approx = self.numeric()
         elif isinstance(self.value, bool):  # guard: bools are ints
             raise DomainError("bound value cannot be boolean")
-        elif isinstance(self.value, int):
-            value = self.value
-            approx = None
         else:
             value = self.value
             approx = None

@@ -181,13 +181,8 @@ def ek_partition(
         raise DomainError("rounds must be at least 1")
 
     stream = SplitMix64(seed)
-    round_seeds = [stream.next_u64() for _ in range(rounds)]
-
-    def one_round(rs: int) -> list[int]:
-        rng = SplitMix64(rs)
-        return [rng.below(k) for _ in elements]
-
-    assignments = [one_round(rs) for rs in round_seeds]
+    rngs = [stream.spawn() for _ in range(rounds)]
+    assignments = [[rng.below(k) for _ in elements] for rng in rngs]
 
     def score(assignment: list[int]) -> tuple:
         _, g = _assignment_to_result(f, elements, k, assignment)
@@ -363,18 +358,14 @@ class PipelineTrace:
         }
 
 
-def pipeline(
-    f: SetFamily,
-    mode: str = "derandomized",
-    seed: int | None = None,
-    rounds: int = 1,
-    threads: int = 1,
-) -> PipelineTrace:
+def pipeline(f: SetFamily, seed: int | None = None, rounds: int = 1) -> PipelineTrace:
     """Run partition, strip, trace-grouping, and ranking on a k-uniform family.
 
-    The input must be sunflower-free; a found witness aborts the run.  All
-    stage sizes and bound values are recorded, and each recorded inequality
-    is re-checked from those sizes, never assumed.
+    The partition is seeded (``rounds`` draws from ``seed``, guarantee in
+    expectation only) exactly when a seed is given, and derandomized
+    otherwise.  The input must be sunflower-free; a found witness aborts the
+    run.  All stage sizes and bound values are recorded, and each recorded
+    inequality is re-checked from those sizes, never assumed.
     """
     witness = find_sunflower_sets_fast(f)
     if witness is not None:
@@ -384,7 +375,8 @@ def pipeline(
         raise DomainError("pipeline needs a k-uniform family with k >= 1")
     m_size = union_size(f)
 
-    p0, g = ek_partition(f, mode=mode, seed=seed, rounds=rounds, threads=threads)
+    mode = "derandomized" if seed is None else "seeded"
+    p0, g = ek_partition(f, mode=mode, seed=seed, rounds=rounds)
     g_universe = g.universe
     p1 = PartiteStructure(tuple(cls & g_universe for cls in p0.classes))
 

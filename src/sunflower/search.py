@@ -527,12 +527,8 @@ def max_sunflower_free_vectors(
     max_nodes: int = DEFAULT_NODE_BUDGET,
     time_limit: float | None = None,
     point_ceiling: int = DEFAULT_POINT_CEILING,
-    threads: int = 1,
 ) -> SearchResult:
-    """Exact maximum sunflower-free family in the product of cyclic groups.
-
-    ``threads`` is accepted for API compatibility and ignored.
-    """
+    """Exact maximum sunflower-free family in the product of cyclic groups."""
     instance = VectorInstance(as_modulus_vector(moduli))
     return _run_search(instance, max_nodes, time_limit, point_ceiling)
 
@@ -543,12 +539,8 @@ def max_sunflower_free_uniform(
     max_nodes: int = DEFAULT_NODE_BUDGET,
     time_limit: float | None = None,
     point_ceiling: int = DEFAULT_POINT_CEILING,
-    threads: int = 1,
 ) -> SearchResult:
-    """Exact maximum sunflower-free family of k-subsets of [m].
-
-    ``threads`` is accepted for API compatibility and ignored.
-    """
+    """Exact maximum sunflower-free family of k-subsets of [m]."""
     instance = UniformInstance(k, m)
     return _run_search(instance, max_nodes, time_limit, point_ceiling)
 

@@ -213,15 +213,13 @@ def test_criterion_09_cnf_satisfiability_matches_maxima():
 
 @functools.lru_cache(maxsize=None)
 def _thread_payload(threads: int) -> bytes:
-    """All machine-readable output of criteria 3-9 at one thread count."""
+    """All machine-readable output of criteria 3-9, with the scan at one thread count."""
     parts: list[str] = []
 
     for moduli, _ in SMALL_VECTOR_MAXIMA:
-        res = max_sunflower_free_vectors(moduli, threads=threads)
+        res = max_sunflower_free_vectors(moduli)
         parts.append(dump_json(res.to_json_dict()))
-    parts.append(
-        dump_json(max_sunflower_free_uniform(2, 6, threads=threads).to_json_dict())
-    )
+    parts.append(dump_json(max_sunflower_free_uniform(2, 6).to_json_dict()))
 
     rng = SplitMix64(11)
     for _ in range(100):
@@ -258,9 +256,9 @@ def _thread_payload(threads: int) -> bytes:
         k = 1 + rng.below(4)
         m = k + rng.below(14 - k + 1)
         fam = rand_free_uniform_family(rng.spawn(), k, m)
-        trace = pipeline(fam, threads=threads)
+        trace = pipeline(fam)
         parts.append(dump_json(trace.to_json_dict()))
-        seeded = pipeline(fam, mode="seeded", seed=1000 + i, rounds=4, threads=threads)
+        seeded = pipeline(fam, seed=1000 + i, rounds=4)
         parts.append(dump_json(seeded.to_json_dict()))
 
     rng = SplitMix64(8)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import sunflower as sf
 from sunflower import bounds, scan_to_csv, conjecture_scan
 from sunflower.cli import build_parser, main
 
@@ -507,17 +508,19 @@ class TestCliContract:
                 assert run(capsys, *argv) == expected, (argv, env)
 
     def test_invalid_threads_value(self, capsys):
-        code, _, _ = run(
-            capsys, "search", "uniform", "--k", "2", "--m", "4", "--threads", "0"
+        code, out, err = run(
+            capsys, "search", "vectors", "--moduli", "3,3", "--threads", "0"
         )
-        assert code == 2
+        assert code == 2 and out == ""
+        assert "thread count must be at least 1" in err
 
     @pytest.mark.parametrize("seed", [(), ("--seed", "7")], ids=["derandomized", "seeded"])
     def test_pipeline_checks_threads_with_or_without_seed(self, capsys, seed):
+        # reduce pipeline takes no --threads, so any count is an unknown argument
         argv = ["reduce", "pipeline", "--inline", "1 2;3 4", *seed]
         code, out, err = run(capsys, *argv, "--threads", "0")
         assert code == 2 and out == ""
-        assert "thread count must be at least 1" in err
+        assert "unrecognized arguments: --threads 0" in err
 
     @pytest.mark.parametrize("seed", [(), ("--seed", "7")], ids=["derandomized", "seeded"])
     def test_pipeline_checks_threads_env_var_with_or_without_seed(
@@ -577,3 +580,36 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["name"]
+
+
+_FAMILY = "1 2\n3 4\n1 3\n2 4\n"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: sf.pipeline(sf.parse_set_family(_FAMILY), mode="seeded", seed=7),
+                     id="pipeline-mode"),
+        pytest.param(lambda: sf.pipeline(sf.parse_set_family(_FAMILY), threads=1),
+                     id="pipeline-threads"),
+        pytest.param(lambda: sf.crt_bound(15, 1, mode="recursive", factor_bounds={3: 2, 5: 4}),
+                     id="crt_bound-mode"),
+        pytest.param(lambda: sf.max_sunflower_free_vectors((3, 3), threads=1),
+                     id="max_sunflower_free_vectors-threads"),
+        pytest.param(lambda: sf.max_sunflower_free_uniform(2, 4, threads=1),
+                     id="max_sunflower_free_uniform-threads"),
+        pytest.param(["search", "uniform", "--k", "2", "--m", "4", "--threads", "1"],
+                     id="search-uniform--threads"),
+        pytest.param(["reduce", "pipeline", "--inline", "1 2;3 4", "--threads", "1"],
+                     id="reduce-pipeline--threads"),
+    ],
+)
+def test_removed_option_is_refused(capsys, call):
+    """Each deleted keyword raises TypeError; each deleted flag exits 2 with empty stdout."""
+    if callable(call):
+        with pytest.raises(TypeError):
+            call()
+        return
+    code, out, err = run(capsys, *call)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --threads 1" in err

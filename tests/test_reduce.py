@@ -168,7 +168,7 @@ class TestEkPartition:
         with pytest.raises(DomainError):
             ek_partition(fam, mode="seeded")
 
-    @pytest.mark.parametrize("run", [ek_partition, pipeline], ids=["ek_partition", "pipeline"])
+    @pytest.mark.parametrize("run", [ek_partition], ids=["ek_partition"])
     @pytest.mark.parametrize("extra", [{"seed": 7}, {"seed": 3, "rounds": -5}, {"rounds": 0},
                                        {"rounds": 2}])
     def test_derandomized_refuses_seed_and_rounds(self, run, extra):
@@ -328,7 +328,7 @@ class TestPipeline:
 
     def test_trace_fields_and_certificates(self):
         fam = parse_set_family("1 2\n3 4\n1 3\n2 4\n")
-        tr = pipeline(fam, mode="derandomized")
+        tr = pipeline(fam)
         assert tr.input_size == 4
         assert tr.k == 2
         assert tr.mode == "derandomized"
@@ -338,16 +338,41 @@ class TestPipeline:
 
     def test_seeded_mode_records_seed_and_rounds(self):
         fam = parse_set_family("1 2\n3 4\n1 3\n2 4\n")
-        tr = pipeline(fam, mode="seeded", seed=9, rounds=4)
+        tr = pipeline(fam, seed=9, rounds=4)
         assert tr.mode == "seeded"
         assert tr.seed == 9
         assert tr.rounds == 4
         assert all(tr.certificates.values())
 
+    @pytest.mark.parametrize(
+        "extra,outcome",
+        [
+            pytest.param({"seed": 7}, None, id="seed"),
+            pytest.param({"seed": 3, "rounds": -5}, "rounds must be at least 1", id="bad-rounds"),
+            pytest.param({"rounds": 0}, "seeded mode only", id="rounds-0-without-seed"),
+            pytest.param({"rounds": 2}, "seeded mode only", id="rounds-2-without-seed"),
+        ],
+    )
+    def test_mode_follows_the_seed(self, extra, outcome):
+        # a seed selects the seeded partition; without one, rounds other than 1 are refused
+        fam = parse_set_family("1 2\n3 4\n1 3\n2 4\n")
+        if outcome is not None:
+            with pytest.raises(DomainError, match=outcome):
+                pipeline(fam, **extra)
+            return
+        tr = pipeline(fam, **extra)
+        p, g = ek_partition(fam, mode="seeded", **extra)
+        assert (tr.mode, tr.ek_expected_only, tr.seed) == ("seeded", True, extra["seed"])
+        assert tr.classes == tuple(tuple(sorted(c)) for c in p.classes)
+        assert tr.g_size == len(g)
+        tr = pipeline(fam)
+        assert (tr.mode, tr.ek_expected_only, tr.seed, tr.rounds) == (
+            "derandomized", False, None, 1)
+
     def test_json_is_deterministic_and_time_free(self):
         fam = parse_set_family("1 2\n3 4\n1 3\n2 4\n")
-        a = dump_json(pipeline(fam, mode="derandomized").to_json_dict())
-        b = dump_json(pipeline(fam, mode="derandomized").to_json_dict())
+        a = dump_json(pipeline(fam).to_json_dict())
+        b = dump_json(pipeline(fam).to_json_dict())
         assert a == b
         payload = json.loads(a)
         assert "elapsed" not in payload
@@ -375,7 +400,7 @@ class TestPipeline:
             fam = rand_free_uniform_family(rng.spawn(), k, m, cap=14)
             if not fam.members:
                 continue
-            tr = pipeline(fam, mode="derandomized")
+            tr = pipeline(fam)
             assert all(tr.certificates.values()), tr.certificates
             if m > k and not tr.main_bound_degenerate:
                 assert len(fam.members) <= tr.main_bound_value + tr.main_bound_radius

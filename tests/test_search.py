@@ -24,6 +24,7 @@ from oracles import (
     brute_vector_symmetries,
 )
 
+from sunflower import cli
 from sunflower import (
     EXACT_INT,
     BoundReport,
@@ -343,10 +344,15 @@ class TestSearchMechanics:
         inst = VectorInstance(as_modulus_vector(moduli))
         assert verify_family_points(inst, r.witness_points) == (True, None)
 
-    def test_nodes_deterministic_across_thread_settings(self):
-        a = max_sunflower_free_uniform(2, 6, threads=1)
-        b = max_sunflower_free_uniform(2, 6, threads=8)
-        assert dump_json(a.to_json_dict()) == dump_json(b.to_json_dict())
+    def test_nodes_deterministic_across_thread_settings(self, capsys):
+        # search vectors is the one search command that still takes --threads
+        outs = []
+        for threads in ("1", "8"):
+            assert cli.main(["search", "vectors", "--moduli", "3,3,3", "--threads", threads]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["nodes_explored"] == max_sunflower_free_vectors(
+            (3, 3, 3)).nodes_explored
 
     def test_repeat_runs_are_identical(self):
         a = max_sunflower_free_vectors((3, 3, 3))
