@@ -590,9 +590,14 @@ class CnfInstance:
     def to_dimacs(self) -> str:
         head = "".join(f"c {c}\n" for c in self.comments)
         head += f"p cnf {self.num_vars} {len(self.clauses)}\n"
-        if not self.clauses:
-            return head
-        return head + " 0\n".join(" ".join(map(str, cl)) for cl in self.clauses) + " 0\n"
+        formats = {0: " 0\n"}  # per clause length; the empty clause keeps its space
+        lines = []
+        for cl in self.clauses:
+            n = len(cl)
+            if n not in formats:
+                formats[n] = "%d " * n + "0\n"
+            lines.append(formats[n] % cl)
+        return head + "".join(lines)
 
 
 def export_cnf(instance: Instance, size: int) -> CnfInstance:

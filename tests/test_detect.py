@@ -367,6 +367,35 @@ def test_property_kernel_completions_match_definitional(members):
         assert kernel.completions(i, j) == expected
 
 
+def test_property_vector_completions_match_definitional():
+    # A coordinate whose column holds two values gives a pair differing there
+    # no completion, so the differing features alone settle such pairs.
+    settled_empty = []
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def check(data):
+        n = data.draw(st.integers(1, 4))
+        moduli = tuple(data.draw(st.sampled_from((2, 3, 4, 5))) for _ in range(n))
+        held = [data.draw(st.integers(2, d)) for d in moduli]  # values in use
+        members = data.draw(
+            st.lists(st.tuples(*(st.integers(0, v - 1) for v in held)), max_size=12, unique=True)
+        )
+        kernel = CompletionKernel(vector_features(moduli, members))
+        for i, j in itertools.combinations(range(len(members)), 2):
+            expected = sum(
+                1 << l
+                for l in range(len(members))
+                if l not in (i, j)
+                and brute_is_sunflower_vectors(members[i], members[j], members[l])
+            )
+            assert kernel.completions(i, j) == expected
+            settled_empty.append(expected == 0)
+
+    check()
+    assert any(settled_empty)
+
+
 SET_MEMBER_LISTS = st.one_of(
     # empty and nested members arise over a small ground set
     st.lists(st.frozensets(st.integers(0, 7), max_size=5), max_size=12, unique=True),
@@ -410,8 +439,8 @@ def test_property_vector_triples_match_brute_enumeration(data):
 
 def test_triples_take_the_column_branch_on_a_large_bucket(monkeypatch):
     # Every member after {0} has trace {} on it: one bucket, whose 14 members
-    # after {1} outnumber its petal, so its bits are made there; members
-    # meeting a petal drop out by column.
+    # after {1} outnumber COLUMN_BRANCH_RATIO times its one-feature petal, so
+    # its bits are made there; members meeting a petal drop out by column.
     members = [frozenset({0})] + [frozenset({e}) for e in range(1, 13)]
     members += [frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6, 13})]
     kernel = CompletionKernel(members)
@@ -419,6 +448,17 @@ def test_triples_take_the_column_branch_on_a_large_bucket(monkeypatch):
     monkeypatch.setattr(detect, "bitset", lambda items: made.append(len(items)) or bitset(items))
     assert list(kernel.triples()) == brute_sunflower_triples(members)
     assert made[:1] == [14]
+
+
+def test_triples_test_small_buckets_member_by_member(monkeypatch):
+    # Over Z3^3, the bucket of a k-feature petal holds at most 2^k - 1 later
+    # members, under three per feature, so no bucket bitset is made.
+    points = list(itertools.product(range(3), repeat=3))
+    kernel = CompletionKernel(vector_features((3, 3, 3), points))
+    made = []
+    monkeypatch.setattr(detect, "bitset", lambda items: made.append(len(items)) or bitset(items))
+    assert list(kernel.triples()) == brute_sunflower_triples(points, vectors=True)
+    assert made == []
 
 
 @given(st.data())
