@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from functools import cache, partial
 from pathlib import Path
 
@@ -266,12 +265,10 @@ def _cmd_cnf_export(args) -> int:
 
 
 def _cmd_cnf_check(args) -> int:
-    instance = _cnf_instance(args)
-    cnf = sf.export_cnf(instance, args.size)
-    anchored = replace(cnf, clauses=cnf.clauses + sf.search.anchor_clauses(instance, args.size))
+    cnf = sf.export_cnf(_cnf_instance(args), args.size)
     _emit(
         {
-            "satisfiable": sf.cnf_satisfiable(anchored),
+            "satisfiable": sf.cnf_satisfiable(cnf),
             "num_vars": cnf.num_vars,
             "num_clauses": len(cnf.clauses),
             "size": args.size,

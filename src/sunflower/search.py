@@ -38,7 +38,7 @@ from math import comb, prod
 from operator import mul
 from typing import Mapping, Sequence
 
-from .detect import CompletionKernel, find_sunflower_sets, find_sunflower_vectors_lookup
+from .detect import CompletionKernel, bitset, find_sunflower_sets, find_sunflower_vectors_lookup
 from .detect import vector_features
 from .errors import DomainError, SunflowerError, TooLarge, UsageError
 from .model import (
@@ -213,7 +213,7 @@ class _Engine:
 
     def __init__(
         self,
-        kernel: CompletionKernel,
+        kernel: CompletionKernel | None,
         max_nodes: int,
         deadline: float | None,
         weights: Sequence[int] | None = None,
@@ -226,7 +226,7 @@ class _Engine:
         self.prunes = 0
         self.best: list[int] = []
         self.best_value = 0
-        self.table: list[list[int | None] | None] = [None] * len(kernel.rows)
+        self.table: list[list[int | None] | None] = [None] * len(kernel.rows) if kernel else []
 
     def _acc(self, points: Sequence[int]) -> int:
         acc = 0
@@ -443,15 +443,22 @@ def _solve(
 
     union maximizes the union size from the seed [point 0], not greedy: its
     witness must stay the first maximum in tuple order, where a prefix comes first.
+    A spent budget (max_nodes 0, or a passed deadline) returns the seed unproved, no kernel built.
     """
     count = instance.point_count()
     if count > point_ceiling:
         raise TooLarge(f"instance has {count} points, ceiling is {point_ceiling}")
     points = instance.points()
+    seed = [0] if union and points else []
+    expired = deadline is not None and time.monotonic() > deadline
+    if expired or not max_nodes:  # the engine reads the clock before the budget
+        engine = _Engine(None, max_nodes, deadline, [bitset(p) for p in points[:1]] if union else None)
+        engine.seed(seed)
+        engine.nodes = int(not expired)
+        return points, engine, seed, False
     kernel = CompletionKernel(instance.features(points))
     # a k-subset's features are its elements, so its kernel row is its bitset
     engine = _Engine(kernel, max_nodes, deadline, weights=kernel.rows if union else None)
-    seed = [0] if union and points else []
     try:
         engine.seed(seed if union else engine.greedy(seed))
         # exact per the anchor argument on VectorInstance; over no points
@@ -581,7 +588,7 @@ def verify_family(
 
 @dataclass(frozen=True)
 class CnfInstance:
-    """CNF whose models are sunflower-free families of size >= the target."""
+    """CNF whose models are the anchored sunflower-free families of size >= the target."""
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
@@ -601,12 +608,16 @@ class CnfInstance:
 
 
 def export_cnf(instance: Instance, size: int) -> CnfInstance:
-    """One variable per point; a clause per sunflower triple; count >= size.
+    """One variable per point; a clause per sunflower triple; count >= size; the anchor.
 
     The cardinality side is a sequential counter: s_{i,j} (variable
     P + (i-1) size + j) asserts "at least j of the first i points chosen",
     with clauses making each s_{i,j} imply that count, and the unit clause
-    s_{P,size} forcing the target.
+    s_{P,size} forcing the target.  The two-point anchor follows: x1 when
+    there is a point, and for size >= 2 one clause over the canonical second
+    points.  Symmetries map a free family onto one holding point 0 and one of
+    them (see VectorInstance), so the formula is satisfiable iff a free family
+    of the target size exists; its models are the anchored ones.
     """
     if size < 0:
         raise DomainError("target size cannot be negative")
@@ -647,20 +658,11 @@ def export_cnf(instance: Instance, size: int) -> CnfInstance:
                 if j >= 2:
                     clauses.append((-aux(i, j), aux(i - 1, j), aux(i - 1, j - 1)))
         clauses.append((aux(p_count, size),))
-    return CnfInstance(num_vars, tuple(clauses), tuple(comments))
-
-
-def anchor_clauses(instance: Instance, size: int) -> tuple[tuple[int, ...], ...]:
-    """Clauses that keep export_cnf(instance, size) satisfiable if it is.
-
-    x1, and for size >= 2 one clause over the canonical second points: a
-    free family maps onto one holding point 0, then, by a symmetry fixing
-    point 0, onto one holding a canonical second point (see VectorInstance).
-    """
-    if not instance.point_count():
-        return ()
-    seconds = tuple(c + 1 for c in instance.canonical_points()[1:])
-    return ((1,), seconds) if size >= 2 else ((1,),)
+    anchor = [(1,)] if pts else []
+    if pts and size >= 2:
+        anchor.append(tuple(c + 1 for c in instance.canonical_points()[1:]))
+    comments.insert(4, f"symmetry anchor clauses: {len(anchor)}")
+    return CnfInstance(num_vars, tuple(clauses + anchor), tuple(comments))
 
 
 def _describe_text(instance: Instance) -> str:

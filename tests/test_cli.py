@@ -282,7 +282,7 @@ class TestCnfCommands:
         code, out, _ = run(capsys, "cnf", "export", "--moduli", "3", "--size", "2")
         assert code == 0
         assert out.startswith("c ")
-        assert "p cnf 9 10" in out
+        assert "p cnf 9 12" in out
 
     def test_export_via_search_alias(self, capsys):
         # the alias is gone: only `cnf export` exports
@@ -337,6 +337,23 @@ class TestCnfCommands:
         for size in range(maximum + 2):
             _, out, _ = run(capsys, "cnf", "check", *flags, "--size", str(size))
             assert json.loads(out)["satisfiable"] is (size <= maximum)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--moduli", "3,3", "--size", "5"),
+            ("--moduli", "2,3", "--size", "1"),
+            ("--k", "2", "--m", "5", "--size", "0"),
+            ("--k", "3", "--m", "2", "--size", "2"),  # no points
+        ],
+    )
+    def test_check_counts_the_exported_clauses(self, capsys, tmp_path, flags):
+        _, out, _ = run(capsys, "cnf", "check", *flags)
+        checked = json.loads(out)
+        _, out, _ = run(capsys, "cnf", "export", *flags, "--out", str(tmp_path / "f.cnf"))
+        exported = json.loads(out)
+        assert checked["num_clauses"] == exported["num_clauses"]
+        assert checked["num_vars"] == exported["num_vars"]
 
     def test_check_deeper_than_the_recursion_limit(self, capsys):
         # 2,673 variables, and DPLL makes more nested decisions than Python's

@@ -99,9 +99,9 @@ class TestMaxUnion:
 
     def test_deadline_exit_reports_the_engine_counters(self, monkeypatch):
         # the unbudgeted run needs 9,810 nodes; the clock sets the deadline,
-        # passes it after the engine's first read, and the engine stops one
-        # stride in
-        reads = iter([0.0, 0.0])
+        # passes it after the driver's budget check and the engine's first
+        # read, and the engine stops one stride in
+        reads = iter([0.0, 0.0, 0.0])
         clock = SimpleNamespace(monotonic=lambda: next(reads, float("inf")))
         monkeypatch.setattr(search, "time", clock)
         rep = max_union(2, 20, time_limit=60)
@@ -258,17 +258,53 @@ class TestConjectureScan:
         assert [r.nodes_explored for r in reps[:2]] == [r.nodes_explored for r in unbudgeted]
 
     def test_deadline_bounds_the_whole_scan(self, monkeypatch):
-        # one tick per clock read: the scan sets its deadline at 2.5, and
-        # each cell's engine reads the clock once before its first node, so
-        # the third cell finds the deadline passed and so does every later one
+        # one tick per clock read: the scan sets its deadline at 4.5, and
+        # each cell reads the clock before its kernel and, when it runs,
+        # again before its engine's first node, so the third cell finds the
+        # deadline passed and so does every later one
         ticks = itertools.count()
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=ticks.__next__))
-        reps = conjecture_scan([2], range(4, 10), time_limit=2.5)
+        reps = conjecture_scan([2], range(4, 10), time_limit=4.5)
         assert [r.optimal for r in reps] == [True, True, False, False, False, False]
         assert [r.nodes_explored for r in reps] == [4, 5, 0, 0, 0, 0]
         for r in reps[2:]:
             assert (r.witness, r.max_union, r.cover_count) == (((0, 1),), 2, 1)
-        assert next(ticks) == 7
+        assert next(ticks) == 9
+
+    @pytest.mark.parametrize("spent,nodes", [("max_nodes", 1), ("deadline", 0)])
+    def test_spent_budget_builds_no_kernel(self, monkeypatch, spent, nodes):
+        # every cell reports its seed, point 0, unproved: a node-budget stop
+        # counts the node it stops at, a deadline stop none
+        built, real = [], CompletionKernel.__init__
+        monkeypatch.setattr(
+            CompletionKernel, "__init__", lambda self, members: built.append(1) or real(self, members)
+        )
+        if spent == "max_nodes":
+            reps = conjecture_scan([3], range(10, 60), max_nodes=0)
+        else:  # the scan sets its deadline at 0.0, and every later read is past it
+            reads = iter([0.0])
+            clock = SimpleNamespace(monotonic=lambda: next(reads, float("inf")))
+            monkeypatch.setattr(search, "time", clock)
+            reps = conjecture_scan([3], range(10, 60), time_limit=60)
+        assert built == []
+        assert [r.to_json_dict() for r in reps] == [
+            {
+                "k": 3,
+                "m": m,
+                "max_union": 3,
+                "exactness": "exact-int",
+                "witness": [[0, 1, 2]],
+                "family_size": 1,
+                "implied_d": 3 / 9,
+                "cover_count": 1,
+                "cover_members": [0],
+                "cover_pass": True,
+                "two_k": 6,
+                "optimal": False,
+                "nodes_explored": nodes,
+            }
+            for m in range(10, 60)
+        ]
 
     def test_union_monotone_in_m(self):
         reps = conjecture_scan([2], [4, 5, 6, 7])

@@ -267,9 +267,9 @@ class TestSearchMechanics:
         clock = SimpleNamespace(monotonic=ticks.__next__, perf_counter=time.perf_counter)
         monkeypatch.setattr(search, "time", clock)
         r = max_sunflower_free_vectors((3, 3, 3, 3), time_limit=40.5)
-        reads_by_greedy = r.stats["greedy_size"] + 1  # with the call's start
+        reads_before_engine = r.stats["greedy_size"] + 2  # with the call's start and budget check
         assert not r.optimal
-        assert r.nodes_explored == (41 - reads_by_greedy) * _TIME_CHECK_STRIDE
+        assert r.nodes_explored == (41 - reads_before_engine) * _TIME_CHECK_STRIDE
 
     def test_time_limit_covers_greedy(self):
         # unbudgeted, greedy alone takes seconds and picks 1,024 points
@@ -297,6 +297,40 @@ class TestSearchMechanics:
         assert not r.optimal and r.stats["greedy_size"] <= 7
         assert r.maximum >= r.stats["greedy_size"]
         assert verify_family_points(inst, r.witness_points) == (True, None)
+
+    @pytest.mark.parametrize("spent,nodes", [("max_nodes", 1), ("deadline", 0)])
+    def test_spent_budget_builds_no_kernel(self, monkeypatch, spent, nodes):
+        # the seed, greedy's empty prefix, unproved: a node-budget stop counts
+        # the node it stops at, a deadline stop none
+        built, real = [], CompletionKernel.__init__
+        monkeypatch.setattr(
+            CompletionKernel, "__init__", lambda self, members: built.append(1) or real(self, members)
+        )
+        if spent == "max_nodes":
+            r = max_sunflower_free_vectors((3, 3, 3, 3), max_nodes=0)
+        else:  # the call sets its deadline at 0.0, and every later read is past it
+            reads = iter([0.0])
+            clock = SimpleNamespace(monotonic=lambda: next(reads, float("inf")), perf_counter=time.perf_counter)
+            monkeypatch.setattr(search, "time", clock)
+            r = max_sunflower_free_vectors((3, 3, 3, 3), time_limit=60)
+        assert built == []
+        assert r.to_json_dict() == {
+            "instance": {"kind": "vectors", "moduli": [3, 3, 3, 3]},
+            "maximum": 0,
+            "exactness": "exact-int",
+            "optimal": False,
+            "witness_indices": [],
+            "witness": [],
+            "nodes_explored": nodes,
+            "stats": {"anchored": True, "greedy_size": 0, "prunes": 0},
+            "bound_checks": [],
+        }
+
+    def test_spent_budget_proves_nothing_over_one_point(self):
+        # greedy's empty prefix is not a maximum of the one-point instance
+        r = max_sunflower_free_uniform(2, 2, max_nodes=0)
+        assert (r.maximum, r.nodes_explored, r.optimal) == (0, 1, False)
+        assert max_sunflower_free_uniform(2, 2).maximum == 1
 
     @pytest.mark.parametrize(
         "budget,message",
@@ -721,6 +755,47 @@ class TestCnfExport:
         best = max_sunflower_free_uniform(2, 5).maximum
         for s in range(1, best + 3):
             assert cnf_satisfiable(export_cnf(inst, s)) == (s <= best)
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            *(("vectors", m) for m in [(3, 3), (2, 3), (3, 4), (2, 2, 3)]),
+            *(("sets", km) for km in [(2, 5), (3, 6), (3, 2)]),  # (3, 2): no points
+        ],
+    )
+    def test_anchored_export_is_satisfiable_up_to_the_brute_maximum(self, kind, params):
+        if kind == "vectors":
+            inst = VectorInstance(as_modulus_vector(params))
+            points = list(itertools.product(*(range(d) for d in params)))
+        else:
+            inst = UniformInstance(*params)
+            points = [frozenset(c) for c in itertools.combinations(range(params[1]), params[0])]
+        maximum, _ = brute_max_free(points, kind)
+        for size in range(maximum + 2):
+            assert cnf_satisfiable(export_cnf(inst, size)) == (size <= maximum), size
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            *(VectorInstance(as_modulus_vector(m)) for m in [(3, 3), (3, 4), (2, 3, 3)]),
+            *(UniformInstance(k, m) for k, m in [(2, 6), (3, 6)]),
+        ],
+        ids=cell_id,
+    )
+    def test_anchor_clauses_are_x1_and_the_canonical_seconds(self, inst):
+        seconds = tuple(c + 1 for c in orbit_oracle(inst)[None][1:])
+        for size, anchor in [(0, [(1,)]), (1, [(1,)]), (2, [(1,), seconds]), (5, [(1,), seconds])]:
+            cnf = export_cnf(inst, size)
+            assert list(cnf.clauses[-len(anchor) :]) == anchor
+            assert cnf.comments[3:5] == (
+                f"sunflower triple clauses: {len(export_cnf(inst, 0).clauses) - 1}",
+                f"symmetry anchor clauses: {len(anchor)}",
+            )
+
+    def test_no_points_no_anchor(self):
+        cnf = export_cnf(UniformInstance(3, 2), 2)
+        assert cnf.clauses == ((),)
+        assert "symmetry anchor clauses: 0" in cnf.comments
 
 
 class TestDpll:
