@@ -73,34 +73,26 @@ def erdos_rado_threshold(k: int, t: int) -> Fraction:
     return math.factorial(k) * Fraction(t - 1) ** k * (1 - correction)
 
 
-def _kostochka(k: int, alpha: float = 2.0, constant: float = 1.0) -> ApproxValue:
-    if alpha <= 1.0:
-        raise DomainError("alpha must exceed 1")
-    if constant <= 0.0:
-        raise DomainError("constant must be positive")
+def _kostochka(k: int) -> ApproxValue:
     if k < 16:
         raise DomainError("need ln ln ln k > 0, which requires k >= 16")
     loglog = math.log(math.log(k))
     logloglog = math.log(loglog)
-    terms = [
-        math.log(constant),
-        math.lgamma(k + 1),
-        k * (2.0 * math.log(logloglog) - math.log(alpha * loglog)),
-    ]
+    terms = [math.lgamma(k + 1), k * (2.0 * math.log(logloglog) - math.log(2.0 * loglog))]
     # the nested logs scale the rounding of ln ln k by 1 / (loglog logloglog)
     # in log(logloglog), a term counted 2k times (logloglog is 0.0196 at k = 16)
     return _exp_with_radius(terms, extra_rel=8.0 * _EPS * k / (loglog * logloglog))
 
 
-def kostochka_value(k: int, alpha: float = 2.0, constant: float = 1.0) -> float:
-    """constant * k! * ((ln ln ln k)^2 / (alpha * ln ln k))^k, in log-space.
+def kostochka_value(k: int) -> float:
+    """k! * ((ln ln ln k)^2 / (2 ln ln k))^k, in log-space.
 
     The cited theorem is about 3-sunflowers only.  Its multiplicative
-    constant is unspecified, so it is an explicit caller parameter; reports
-    built from this value flag it as holding only up to that constant.
-    Natural logarithms throughout.
+    constant is unspecified; the value takes it as 1, and reports built from
+    it flag it as holding only up to that constant.  Natural logarithms
+    throughout.
     """
-    return _kostochka(k, alpha, constant).value
+    return _kostochka(k).value
 
 
 def ns_subset_bound(n: int) -> int:

@@ -184,7 +184,7 @@ def _cmd_bounds_j(args) -> int:
 def _cmd_reduce_pipeline(args) -> int:
     if args.seed is None and args.rounds is not None:
         raise UsageError("--rounds needs --seed")
-    family = parse_set_family(_read_text(args), allow_empty=args.allow_empty)
+    family = parse_set_family(_read_text(args))
     rounds = {} if args.rounds is None else {"rounds": args.rounds}
     text = dump_json(sf.pipeline(family, seed=args.seed, **rounds).to_json_dict())
     if args.json_out:
@@ -196,20 +196,18 @@ def _cmd_reduce_pipeline(args) -> int:
 # ---------------------------------------------------------------- search
 
 
-def _budget_flags(p: argparse.ArgumentParser, point_ceiling: bool = True) -> None:
+def _budget_flags(p: argparse.ArgumentParser) -> None:
     """Budget flags, left unset unless given so the library's defaults apply."""
     unset = argparse.SUPPRESS
     p.add_argument("--budget-nodes", dest="max_nodes", type=int, default=unset,
                    metavar="BUDGET_NODES")
     p.add_argument("--time-limit", type=float, default=unset, metavar="SECONDS")
-    if point_ceiling:
-        p.add_argument("--point-ceiling", type=int, default=unset)
 
 
 def _budgets(args) -> dict:
     """The budget flags given, under the library's keywords."""
     given = vars(args)
-    return {k: given[k] for k in ("max_nodes", "time_limit", "point_ceiling") if k in given}
+    return {k: given[k] for k in ("max_nodes", "time_limit") if k in given}
 
 
 def _cnf_parser(subs, name: str, help_text: str, handler) -> argparse.ArgumentParser:
@@ -333,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     rsubs = reduce_p.add_subparsers(dest="reduce_cmd", required=True, metavar="WHAT")
     r_pipe = rsubs.add_parser("pipeline", help="partition, strip, group, and rank a family")
     _add_input_flags(r_pipe)
-    r_pipe.add_argument("--allow-empty", action="store_true",
-                        help="accept blank lines as empty members")
     r_pipe.add_argument("--seed", type=int, help="seeded random partition")
     r_pipe.add_argument("--rounds", type=int, help="seeded rounds to try")
     r_pipe.add_argument("--json", dest="json_out", metavar="FILE",
@@ -368,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_scan.add_argument("--k", required=True, help="k range, e.g. 1..3 or 2")
     c_scan.add_argument("--m", required=True, help="m range, e.g. 4..9")
     c_scan.add_argument("--csv", metavar="FILE", help="also write CSV to FILE")
-    _budget_flags(c_scan, point_ceiling=False)
+    _budget_flags(c_scan)
     c_scan.add_argument("--threads", type=int)
     c_scan.set_defaults(handler=_cmd_conjecture_scan)
 

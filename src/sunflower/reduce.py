@@ -141,9 +141,8 @@ def ek_partition(
     seed: int | None = None,
     rounds: int = 1,
     threads: int = 1,
-    k: int | None = None,
 ) -> tuple[PartiteStructure, SetFamily]:
-    """Partition the ground set into k classes and keep transversal members.
+    """Partition a k-uniform family's ground set into k classes; keep transversal members.
 
     Derandomized mode assigns elements in ascending id order, each to the
     class maximizing the conditional expected number of transversal members
@@ -156,16 +155,13 @@ def ek_partition(
     accepted for API compatibility and ignored: the rounds are pure-Python
     work that threads cannot overlap.
     """
-    if k is None:
-        k = f.uniformity
+    k = f.uniformity
     if k is None:
         if f.members:
             raise DomainError("family has mixed member sizes; a k-uniform family is required")
-        raise DomainError("empty family: pass k explicitly")
+        raise DomainError("empty family: k is undefined")
     if k < 1:
         raise DomainError("k must be at least 1")
-    if f.members and f.uniformity != k:
-        raise DomainError(f"family is not {k}-uniform")
     elements = sorted(f.universe)
 
     if mode == "derandomized":

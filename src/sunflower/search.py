@@ -436,7 +436,6 @@ def _solve(
     instance: Instance,
     max_nodes: int,
     deadline: float | None,
-    point_ceiling: int = DEFAULT_POINT_CEILING,
     union: bool = False,
 ) -> tuple[list[tuple[int, ...]], _Engine, list[int], bool]:
     """Run one search; return (points, engine, seed, optimal), engine.best verified.
@@ -446,8 +445,8 @@ def _solve(
     A spent budget (max_nodes 0, or a passed deadline) returns the seed unproved, no kernel built.
     """
     count = instance.point_count()
-    if count > point_ceiling:
-        raise TooLarge(f"instance has {count} points, ceiling is {point_ceiling}")
+    if count > DEFAULT_POINT_CEILING:
+        raise TooLarge(f"instance has {count} points, ceiling is {DEFAULT_POINT_CEILING}")
     points = instance.points()
     seed = [0] if union and points else []
     expired = deadline is not None and time.monotonic() > deadline
@@ -477,15 +476,10 @@ def _solve(
     return points, engine, seed, optimal
 
 
-def _run_search(
-    instance: Instance,
-    max_nodes: int,
-    time_limit: float | None,
-    point_ceiling: int,
-) -> SearchResult:
+def _run_search(instance: Instance, max_nodes: int, time_limit: float | None) -> SearchResult:
     started = time.perf_counter()
     deadline = _deadline(max_nodes, time_limit)
-    points, engine, greedy, optimal = _solve(instance, max_nodes, deadline, point_ceiling)
+    points, engine, greedy, optimal = _solve(instance, max_nodes, deadline)
     best = engine.best
     result = SearchResult(
         instance=instance.describe(),
@@ -533,11 +527,10 @@ def max_sunflower_free_vectors(
     moduli,
     max_nodes: int = DEFAULT_NODE_BUDGET,
     time_limit: float | None = None,
-    point_ceiling: int = DEFAULT_POINT_CEILING,
 ) -> SearchResult:
     """Exact maximum sunflower-free family in the product of cyclic groups."""
     instance = VectorInstance(as_modulus_vector(moduli))
-    return _run_search(instance, max_nodes, time_limit, point_ceiling)
+    return _run_search(instance, max_nodes, time_limit)
 
 
 def max_sunflower_free_uniform(
@@ -545,11 +538,10 @@ def max_sunflower_free_uniform(
     m: int,
     max_nodes: int = DEFAULT_NODE_BUDGET,
     time_limit: float | None = None,
-    point_ceiling: int = DEFAULT_POINT_CEILING,
 ) -> SearchResult:
     """Exact maximum sunflower-free family of k-subsets of [m]."""
     instance = UniformInstance(k, m)
-    return _run_search(instance, max_nodes, time_limit, point_ceiling)
+    return _run_search(instance, max_nodes, time_limit)
 
 
 def verify_family_points(
@@ -613,11 +605,13 @@ def export_cnf(instance: Instance, size: int) -> CnfInstance:
     The cardinality side is a sequential counter: s_{i,j} (variable
     P + (i-1) size + j) asserts "at least j of the first i points chosen",
     with clauses making each s_{i,j} imply that count, and the unit clause
-    s_{P,size} forcing the target.  The two-point anchor follows: x1 when
-    there is a point, and for size >= 2 one clause over the canonical second
-    points.  Symmetries map a free family onto one holding point 0 and one of
-    them (see VectorInstance), so the formula is satisfiable iff a free family
-    of the target size exists; its models are the anchored ones.
+    s_{P,size} forcing the target.  A target above the point count P is the
+    empty clause instead, so nothing grows with it.  The two-point anchor
+    follows: x1 when there is a point, and for size >= 2 one clause over the
+    canonical second points.  Symmetries map a free family onto one holding
+    point 0 and one of them (see VectorInstance), so the formula is
+    satisfiable iff a free family of the target size exists; its models are
+    the anchored ones.
     """
     if size < 0:
         raise DomainError("target size cannot be negative")
@@ -640,8 +634,8 @@ def export_cnf(instance: Instance, size: int) -> CnfInstance:
     comments.insert(3, f"sunflower triple clauses: {len(clauses)}")
 
     num_vars = len(pts)
-    if size > 0 and not pts:
-        clauses.append(())  # no points, positive target: unsatisfiable
+    if size > len(pts):
+        clauses.append(())  # a target above the point count: unsatisfiable, no counter
     elif size > 0:
         p_count = len(pts)
 

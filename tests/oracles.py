@@ -390,11 +390,11 @@ def mp_eg_vector(q: int, n: int, dps: int = 50):
         return (j * q) ** n
 
 
-def mp_kostochka(k: int, t: int = 3, alpha: float = 2.0, constant: float = 1.0):
+def mp_kostochka(k: int):
     with mp.workdps(50):
         lll = mp.log(mp.log(mp.log(k)))
         ll = mp.log(mp.log(k))
-        return constant * mp.factorial(k) * (lll**2 / (alpha * ll)) ** k
+        return mp.factorial(k) * (lll**2 / (2 * ll)) ** k
 
 
 def mp_main_bound(k: int, M: int):

@@ -248,18 +248,21 @@ class TestSearchCommands:
         assert code == 0
         assert json.loads(out)["optimal"] is False
 
-    def test_point_ceiling_domain_error(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "search",
-            "vectors",
-            "--moduli",
-            "9,9,9,9",
-            "--point-ceiling",
-            "100",
-        )
+    @pytest.mark.parametrize(
+        "argv,points",
+        [
+            pytest.param(("vectors", "--moduli", ",".join(["2"] * 17)), 131072, id="vectors"),
+            pytest.param(("uniform", "--k", "3", "--m", "75"), 67525, id="uniform"),
+        ],
+    )
+    def test_point_ceiling_is_too_large(self, capsys, argv, points):
+        # the ceiling is the constant 2^16 points
+        code, out, _ = run(capsys, "search", *argv)
         assert code == 1
-        assert json.loads(out)["error"] == "TooLarge"
+        assert json.loads(out) == {
+            "error": "TooLarge",
+            "message": f"instance has {points} points, ceiling is 65536",
+        }
 
 
     @pytest.mark.parametrize(
@@ -319,6 +322,14 @@ class TestCnfCommands:
         code, out, _ = run(capsys, "cnf", "check", "--k", "2", "--m", "6", "--size", "7")
         assert code == 0
         assert json.loads(out)["satisfiable"] is False
+
+    def test_check_target_above_the_point_count(self, capsys):
+        # answered from the 9 point variables, with no counter over the target
+        code, out, _ = run(capsys, "cnf", "check", "--moduli", "3,3", "--size", "1000000000")
+        assert code == 0
+        assert json.loads(out) == {
+            "num_clauses": 15, "num_vars": 9, "satisfiable": False, "size": 10**9,
+        }
 
     @pytest.mark.parametrize(
         "flags",
@@ -619,6 +630,21 @@ _FAMILY = "1 2\n3 4\n1 3\n2 4\n"
                      id="search-uniform--threads"),
         pytest.param(["reduce", "pipeline", "--inline", "1 2;3 4", "--threads", "1"],
                      id="reduce-pipeline--threads"),
+        pytest.param(lambda: sf.max_sunflower_free_vectors((3, 3), point_ceiling=10**5),
+                     id="max_sunflower_free_vectors-point_ceiling"),
+        pytest.param(lambda: sf.max_sunflower_free_uniform(2, 4, point_ceiling=10**5),
+                     id="max_sunflower_free_uniform-point_ceiling"),
+        pytest.param(["search", "vectors", "--moduli", "3,3", "--point-ceiling", "100000"],
+                     id="search-vectors--point-ceiling"),
+        pytest.param(["search", "uniform", "--k", "2", "--m", "4", "--point-ceiling", "100000"],
+                     id="search-uniform--point-ceiling"),
+        pytest.param(["reduce", "pipeline", "--inline", "1 2;3 4", "--allow-empty"],
+                     id="reduce-pipeline--allow-empty"),
+        pytest.param(lambda: sf.ek_partition(sf.parse_set_family(_FAMILY), k=2),
+                     id="ek_partition-k"),
+        pytest.param(lambda: sf.kostochka_value(20, alpha=2.0), id="kostochka_value-alpha"),
+        pytest.param(lambda: sf.kostochka_value(20, constant=1.0),
+                     id="kostochka_value-constant"),
     ],
 )
 def test_removed_option_is_refused(capsys, call):
@@ -629,4 +655,5 @@ def test_removed_option_is_refused(capsys, call):
         return
     code, out, err = run(capsys, *call)
     assert code == 2 and out == ""
-    assert "unrecognized arguments: --threads 1" in err
+    flag = max(i for i, a in enumerate(call) if a.startswith("--"))  # the removed flag is last
+    assert f"unrecognized arguments: {' '.join(call[flag:])}" in err

@@ -1,9 +1,12 @@
 """The package namespace: each public name loads its home module on first use.
 
-Every check runs in a fresh interpreter, since the modules an import loads
-depend on what the process imported before.
+Every load check runs in a fresh interpreter, since the modules an import
+loads depend on what the process imported before.  The settable surface
+(keywords with defaults, CLI flags) is pinned at the end of the file.
 """
 
+import argparse
+import inspect
 import json
 import subprocess
 import sys
@@ -145,3 +148,78 @@ def test_an_unknown_name_raises_attribute_error():
         """
     )
     assert result == ["module 'sunflower' has no attribute 'no_such_name'", "ImportError"]
+
+
+# Every settable value of the public surface. Adding or dropping a knob means
+# editing these tables.
+KEYWORDS_WITH_DEFAULTS = {
+    "SunflowerWitness.to_json_dict": "family",
+    "UniformInstance.canonical_points": "u",
+    "VectorInstance.canonical_points": "u",
+    "compare_bounds": "moduli k M",
+    "conjecture_scan": "max_nodes time_limit threads",
+    "crt_bound": "factor_bounds",
+    "ek_partition": "mode seed rounds threads",
+    "find_sunflower_sets": "t",
+    "max_sunflower_free_uniform": "max_nodes time_limit",
+    "max_sunflower_free_vectors": "max_nodes time_limit",
+    "max_union": "max_nodes time_limit",
+    "parse_set_family": "allow_empty",
+    "pipeline": "seed rounds",
+}
+
+CLI_FLAGS = {
+    "detect sets": "--in --inline --t --allow-empty",
+    "detect vectors": "--in --inline --moduli",
+    "detect ap": "--in --inline --moduli",
+    "bounds": "--moduli --k --M --format",
+    "bounds j": "--q",
+    "reduce pipeline": "--in --inline --seed --rounds --json",
+    "search vectors": "--moduli --budget-nodes --time-limit --threads",
+    "search uniform": "--k --m --budget-nodes --time-limit",
+    "cnf export": "--moduli --k --m --size --out",
+    "cnf check": "--moduli --k --m --size",
+    "conjecture scan": "--k --m --csv --budget-nodes --time-limit --threads",
+}
+
+
+def test_public_keywords_with_defaults_are_the_pinned_ones():
+    import sunflower
+
+    found = {}
+    for name in sunflower.__all__:
+        obj = getattr(sunflower, name)
+        if inspect.isclass(obj):
+            methods = [(f"{name}.{m}", getattr(obj, m)) for m, f in vars(obj).items()
+                       if not m.startswith("_") and (inspect.isfunction(f)
+                                                     or isinstance(f, (staticmethod, classmethod)))]
+        else:
+            methods = [(name, obj)] if inspect.isfunction(obj) else []
+        for qualname, fn in methods:
+            keywords = [p.name for p in inspect.signature(fn).parameters.values()
+                        if p.default is not p.empty]
+            if keywords:
+                found[qualname] = " ".join(keywords)
+    assert found == KEYWORDS_WITH_DEFAULTS
+    assert sum(len(v.split()) for v in found.values()) == 24
+
+
+def test_cli_flags_are_the_pinned_ones():
+    from sunflower.cli import build_parser
+
+    found = {}
+
+    def walk(parser, path):
+        flags = []
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, path + [name])
+            elif not isinstance(action, argparse._HelpAction):
+                flags.extend(action.option_strings)
+        if flags:
+            found[" ".join(path)] = " ".join(flags)
+
+    walk(build_parser(), [])
+    assert found == CLI_FLAGS
+    assert sum(len(v.split()) for v in found.values()) == 43

@@ -179,20 +179,14 @@ class TestEkPartition:
             run(fam, mode="derandomized", **extra)
         run(fam, rounds=1)
 
-    def test_mixed_sizes_rejected_even_with_explicit_k(self):
-        fam = parse_set_family("1\n2 3\n")
-        with pytest.raises(DomainError):
-            ek_partition(fam)
-        with pytest.raises(DomainError):
-            ek_partition(fam, k=2)
+    def test_mixed_sizes_rejected(self):
+        with pytest.raises(DomainError, match="mixed member sizes"):
+            ek_partition(parse_set_family("1\n2 3\n"))
 
-    def test_empty_family_needs_explicit_k(self):
-        empty = SetFamily((), None)
-        with pytest.raises(DomainError):
-            ek_partition(empty)
-        p, g = ek_partition(empty, k=2)
-        assert p.k == 2
-        assert g.members == ()
+    def test_empty_family_rejected(self):
+        # k is the family's uniformity, which the empty family does not have
+        with pytest.raises(DomainError, match="empty family"):
+            ek_partition(SetFamily((), None))
 
     def test_k1_keeps_everything(self):
         fam = parse_set_family("1\n2\n3\n")
@@ -407,15 +401,31 @@ class TestPipeline:
 
 
 @pytest.mark.parametrize(
-    "kwargs,message",
+    "text,kwargs,message",
     [
-        pytest.param({"k": 0}, "k must be at least 1", id="k-0"),
-        pytest.param({"mode": "random"}, "unknown partition mode 'random'", id="unknown-mode"),
+        pytest.param("\n", {}, "k must be at least 1", id="k-0"),
+        pytest.param("1 2\n3 4\n", {"mode": "random"}, "unknown partition mode 'random'",
+                     id="unknown-mode"),
     ],
 )
-def test_checks_no_other_test_reaches(kwargs, message):
+def test_checks_no_other_test_reaches(text, kwargs, message):
+    # "\n" with allow_empty is {∅}, the one family of uniformity 0
     with pytest.raises(DomainError, match=message):
-        ek_partition(parse_set_family("1 2\n3 4\n"), **kwargs)
+        ek_partition(parse_set_family(text, allow_empty=True), **kwargs)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_property_pipeline_refuses_every_family_holding_the_empty_member(data):
+    # such a family has mixed sizes, is {∅} (k = 0) or holds a sunflower, so
+    # pipeline refuses it; this is why `reduce pipeline` has no --allow-empty
+    n = data.draw(st.integers(1, 5))
+    subsets = st.frozensets(st.integers(0, n - 1), min_size=1)
+    members = data.draw(st.lists(subsets, max_size=8, unique=True))
+    at = data.draw(st.integers(0, len(members)))
+    fam = SetFamily(tuple(members[:at] + [frozenset()] + members[at:]), None)
+    with pytest.raises((DomainError, InputHasSunflower)):
+        pipeline(fam)
 
 
 @given(st.integers(1, 6), st.integers(1, 40))

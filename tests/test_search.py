@@ -202,10 +202,6 @@ class TestSearchMechanics:
         assert r.maximum >= r.stats["greedy_size"]
         assert r.nodes_explored <= 5 + 1
 
-    def test_point_ceiling(self):
-        with pytest.raises(TooLarge):
-            max_sunflower_free_vectors((4, 4, 4, 4, 4), point_ceiling=1000)
-
     def test_default_point_ceiling_refuses_z2_to_the_17(self):
         # refused before the kernel over 131,072 points is built
         with pytest.raises(TooLarge, match="ceiling is 65536"):
@@ -502,7 +498,7 @@ class TestSymmetryAnchor:
     def unanchored_mismatches(cells, union=False):
         """The cells whose anchored (maximum, witness) differs from the unanchored ones."""
         def anchored(inst):
-            _, engine, _, optimal = search._solve(inst, 10**9, None, 2**16, union)
+            _, engine, _, optimal = search._solve(inst, 10**9, None, union=union)
             assert optimal
             return engine.best_value, engine.best
 
@@ -734,6 +730,18 @@ class TestCnfExport:
     def test_no_points_with_positive_target_is_unsat(self):
         cnf = export_cnf(UniformInstance(3, 2), 1)
         assert not cnf_satisfiable(cnf)
+
+    @pytest.mark.parametrize("size", [10, 20000, 10**9])
+    def test_target_above_the_point_count_is_the_empty_clause(self, size):
+        # no counter: the formula does not grow with the target
+        inst = VectorInstance(as_modulus_vector((3, 3)))
+        cnf = export_cnf(inst, size)
+        triples = export_cnf(inst, 0).clauses[:-1]  # size 0 anchors with x1 alone
+        assert cnf.num_vars == 9
+        assert cnf.clauses == triples + ((), (1,), (2, 5))
+        assert f"c target size: at least {size}" in cnf.to_dimacs()
+        assert not cnf_satisfiable(cnf)
+        assert export_cnf(inst, 9).num_vars == 9 + 9 * 9  # at the point count, a counter
 
     def test_negative_size_rejected(self):
         with pytest.raises(DomainError):
