@@ -12,7 +12,10 @@ the family returned is the lexicographically smallest maximum family
 (greedy seeding preserves this: the greedy family is the lex-first maximal
 family, and no maximum family is lex-smaller than it).  Every search over
 a point is anchored: below the root it visits only [0, c] and [0, c, d], c
-and d canonical (see VectorInstance).
+and d canonical (see VectorInstance).  The anchor's (c, thirds) list comes
+from _anchor_starts, which export_cnf also reads: its symmetry clauses bar,
+over the counter's own variables, every second and third point the search
+never visits.
 
 Triple constraints come from a detect.CompletionKernel over the points'
 features, cached in the engine's lazy table: row p, made when point p is
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, groupby, product
 from math import comb, prod
 from operator import mul
 from typing import Mapping, Sequence
@@ -463,8 +466,7 @@ def _solve(
         # exact per the anchor argument on VectorInstance; over no points
         # only the family-size search counts the empty root as a node
         if points or union:
-            seconds = instance.canonical_points()[1:]
-            optimal = engine.run_anchored([(c, instance.canonical_points(points[c])) for c in seconds])
+            optimal = engine.run_anchored(_anchor_starts(instance, points))
         else:
             optimal = engine.run([], kernel.full)
     except KeyboardInterrupt:  # engine.best is the seed or better once seeded
@@ -474,6 +476,17 @@ def _solve(
     if not ok:
         raise SunflowerError(f"internal error: witness fails verification at {witness.indices}")
     return points, engine, seed, optimal
+
+
+def _anchor_starts(
+    instance: Instance, points: list[tuple[int, ...]]
+) -> list[tuple[int, list[int]]]:
+    """The three-point anchor: each canonical second c, with the points canonical given c.
+
+    The search's starts and the exported CNF's anchor clauses both read it
+    (see VectorInstance).
+    """
+    return [(c, instance.canonical_points(points[c])) for c in instance.canonical_points()[1:]]
 
 
 def _run_search(instance: Instance, max_nodes: int, time_limit: float | None) -> SearchResult:
@@ -589,29 +602,32 @@ class CnfInstance:
     def to_dimacs(self) -> str:
         head = "".join(f"c {c}\n" for c in self.comments)
         head += f"p cnf {self.num_vars} {len(self.clauses)}\n"
-        formats = {0: " 0\n"}  # per clause length; the empty clause keeps its space
-        lines = []
-        for cl in self.clauses:
-            n = len(cl)
-            if n not in formats:
-                formats[n] = "%d " * n + "0\n"
-            lines.append(formats[n] % cl)
-        return head + "".join(lines)
+        parts = [head]
+        for n, group in groupby(self.clauses, len):  # one % per run of equal-length clauses
+            run = tuple(group)
+            line = "%d " * n + "0\n" if n else " 0\n"  # the empty clause keeps its space
+            parts.append(line * len(run) % tuple(chain.from_iterable(run)))
+        return "".join(parts)
 
 
 def export_cnf(instance: Instance, size: int) -> CnfInstance:
     """One variable per point; a clause per sunflower triple; count >= size; the anchor.
 
-    The cardinality side is a sequential counter: s_{i,j} (variable
+    The cardinality side is a sequential counter: s(i, j) (variable
     P + (i-1) size + j) asserts "at least j of the first i points chosen",
-    with clauses making each s_{i,j} imply that count, and the unit clause
-    s_{P,size} forcing the target.  A target above the point count P is the
-    empty clause instead, so nothing grows with it.  The two-point anchor
-    follows: x1 when there is a point, and for size >= 2 one clause over the
-    canonical second points.  Symmetries map a free family onto one holding
-    point 0 and one of them (see VectorInstance), so the formula is
-    satisfiable iff a free family of the target size exists; its models are
-    the anchored ones.
+    with clauses making each s(i, j) imply that count, and the unit clause
+    s(P, size) forcing the target.  A target above the point count P is the
+    empty clause instead, so nothing grows with it.  The three-point anchor
+    of the search (see VectorInstance) follows, over the counter's own
+    variables: x1 when there is a point, and for size >= 2 one clause over
+    the canonical second points.  For 2 <= size <= P, point e is the
+    second chosen point exactly when s(e, 2) is false, and the third when
+    s(e, 3) is false, so (-x_e s(e,2)) bars each e >= 2 that is not a
+    canonical second, and for size >= 3 (-x_c s(c,2) -x_e s(e,3)) bars each
+    e > c that is not canonical given the canonical second c.  The
+    lex-first free family of the target size, with each s(i, j) set to its
+    meaning, satisfies every clause, so the formula is satisfiable iff a
+    free family of the target size exists; its models are the anchored ones.
     """
     if size < 0:
         raise DomainError("target size cannot be negative")
@@ -628,20 +644,17 @@ def export_cnf(instance: Instance, size: int) -> CnfInstance:
     comments.extend(
         f"var {i + 1} = {instance.point_text(p)}" for i, p in enumerate(pts)
     )
-    clauses: list[tuple[int, ...]] = [
-        (-(i + 1), -(j + 1), -(l + 1)) for i, j, l in kernel.triples()
-    ]
+    p_count = num_vars = len(pts)
+    neg = [-v for v in range(1, p_count + 1)]  # -x_i, one int object per literal
+    clauses: list[tuple[int, ...]] = [(neg[i], neg[j], neg[l]) for i, j, l in kernel.triples()]
     comments.insert(3, f"sunflower triple clauses: {len(clauses)}")
 
-    num_vars = len(pts)
-    if size > len(pts):
+    def aux(i: int, j: int) -> int:
+        return p_count + (i - 1) * size + j
+
+    if size > p_count:
         clauses.append(())  # a target above the point count: unsatisfiable, no counter
     elif size > 0:
-        p_count = len(pts)
-
-        def aux(i: int, j: int) -> int:
-            return p_count + (i - 1) * size + j
-
         num_vars = p_count + p_count * size
         clauses.append((-aux(1, 1), 1))
         for j in range(2, size + 1):
@@ -654,7 +667,16 @@ def export_cnf(instance: Instance, size: int) -> CnfInstance:
         clauses.append((aux(p_count, size),))
     anchor = [(1,)] if pts else []
     if pts and size >= 2:
-        anchor.append(tuple(c + 1 for c in instance.canonical_points()[1:]))
+        starts = _anchor_starts(instance, pts)
+        anchor.append(tuple(c + 1 for c, _ in starts))
+    if 2 <= size <= p_count:
+        seconds = {c for c, _ in starts}
+        anchor.extend((neg[e], aux(e, 2)) for e in range(2, p_count) if e not in seconds)
+    if 3 <= size <= p_count:
+        for c, thirds in starts:
+            bar, canonical = (neg[c], aux(c, 2)), set(thirds)
+            thirds_barred = (e for e in range(c + 1, p_count) if e not in canonical)
+            anchor.extend((*bar, neg[e], aux(e, 3)) for e in thirds_barred)
     comments.insert(4, f"symmetry anchor clauses: {len(anchor)}")
     return CnfInstance(num_vars, tuple(clauses + anchor), tuple(comments))
 

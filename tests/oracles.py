@@ -333,6 +333,14 @@ def brute_cnf_satisfiable(num_vars, clauses) -> bool:
     return False
 
 
+def plain_dimacs(num_vars, clauses, comments) -> str:
+    """DIMACS text one clause at a time: its literals, then 0; the empty clause is " 0"."""
+    lines = [f"c {c}" for c in comments] + [f"p cnf {num_vars} {len(clauses)}"]
+    for clause in clauses:
+        lines.append(" ".join(str(lit) for lit in clause) + " 0" if clause else " 0")
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------- bounds, high precision
 
 

@@ -205,6 +205,13 @@ class TestReduceCommand:
         code, out, _ = run(capsys, *argv, "--rounds", "0")
         assert code == 1 and json.loads(out)["error"] == "DomainError"
 
+    def test_blank_member_error_names_no_option(self, capsys):
+        # pipeline has no way to accept an empty member, so the error offers none
+        code, out, _ = run(capsys, "reduce", "pipeline", "--inline", ";1 2")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload == {"error": "EmptySet", "message": "line 1: empty member"}
+
     def test_seed_conflicts_with_derandomize(self, capsys):
         # derandomized is the mode without --seed, so there is no flag for it
         code, out, err = run(capsys, "reduce", "pipeline", "--inline", "1 2", "--seed", "3",
@@ -285,7 +292,7 @@ class TestCnfCommands:
         code, out, _ = run(capsys, "cnf", "export", "--moduli", "3", "--size", "2")
         assert code == 0
         assert out.startswith("c ")
-        assert "p cnf 9 12" in out
+        assert "p cnf 9 13" in out
 
     def test_export_via_search_alias(self, capsys):
         # the alias is gone: only `cnf export` exports

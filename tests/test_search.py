@@ -22,6 +22,7 @@ from oracles import (
     brute_orbit_minima,
     brute_set_symmetries,
     brute_vector_symmetries,
+    plain_dimacs,
 )
 
 from sunflower import cli
@@ -782,6 +783,30 @@ class TestCnfExport:
         for size in range(maximum + 2):
             assert cnf_satisfiable(export_cnf(inst, size)) == (size <= maximum), size
 
+    @pytest.mark.parametrize("inst", [c for c in ORBIT_CELLS if c.point_count() < 64], ids=cell_id)
+    def test_anchor_admits_exactly_the_canonical_second_and_third_points(self, inst):
+        # against the orbit oracle: [0, e] forced as the first two chosen
+        # points is satisfiable at size 2 iff e is an orbit minimum fixing 0,
+        # and [0, c, e] as the first three at size 3 iff e is one fixing 0 and
+        # c, and {0, c, e} is free
+        oracle, points = orbit_oracle(inst), inst.points()
+        vectors = isinstance(inst, VectorInstance)
+
+        def first_chosen(cnf, prefix):  # units: the prefix in, every other point below its last out
+            units = tuple((i + 1,) if i in prefix else (-(i + 1),) for i in range(prefix[-1] + 1))
+            return cnf_satisfiable(search.CnfInstance(cnf.num_vars, cnf.clauses + units, ()))
+
+        at_two, at_three = export_cnf(inst, 2), export_cnf(inst, 3)
+        for e in range(1, len(points)):
+            assert first_chosen(at_two, [0, e]) == (e in oracle[None]), e
+        for c in oracle[None][1:]:
+            for e in range(c + 1, len(points)):
+                triple = (points[0], points[c], points[e])
+                free = not (
+                    brute_is_sunflower_vectors(*triple) if vectors else brute_is_sunflower_sets(triple)
+                )
+                assert first_chosen(at_three, [0, c, e]) == (e in oracle[c] and free), (c, e)
+
     @pytest.mark.parametrize(
         "inst",
         [
@@ -790,14 +815,24 @@ class TestCnfExport:
         ],
         ids=cell_id,
     )
-    def test_anchor_clauses_are_x1_and_the_canonical_seconds(self, inst):
-        seconds = tuple(c + 1 for c in orbit_oracle(inst)[None][1:])
-        for size, anchor in [(0, [(1,)]), (1, [(1,)]), (2, [(1,), seconds]), (5, [(1,), seconds])]:
+    def test_anchor_clauses_follow_the_counter(self, inst):
+        # x1, the clause over the canonical seconds, then one clause per point
+        # barred as a second or, given a second, as a third; each added clause
+        # holds a positive counter literal, so none reads as a sunflower triple
+        oracle, count = orbit_oracle(inst), inst.point_count()
+        seconds = tuple(c + 1 for c in oracle[None][1:])
+        barred_seconds = sum(e not in oracle[None] for e in range(2, count))
+        barred_thirds = sum(e not in oracle[c] for c in oracle[None][1:] for e in range(c + 1, count))
+        barred = barred_seconds + barred_thirds
+        triples = len(export_cnf(inst, 0).clauses) - 1
+        for size, n in [(0, 1), (1, 1), (2, 2 + barred_seconds), (3, 2 + barred), (5, 2 + barred)]:
             cnf = export_cnf(inst, size)
-            assert list(cnf.clauses[-len(anchor) :]) == anchor
+            anchor = cnf.clauses[-n:]
+            assert anchor[:2] == ((1,), seconds)[:n]
+            assert all(len(cl) in (2, 4) and max(cl) > count for cl in anchor[2:])
             assert cnf.comments[3:5] == (
-                f"sunflower triple clauses: {len(export_cnf(inst, 0).clauses) - 1}",
-                f"symmetry anchor clauses: {len(anchor)}",
+                f"sunflower triple clauses: {triples}",
+                f"symmetry anchor clauses: {n}",
             )
 
     def test_no_points_no_anchor(self):
@@ -1001,6 +1036,27 @@ class TestDpll:
         from sunflower.search import CnfInstance
 
         assert CnfInstance(*cnf).to_dimacs() == text
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_property_dimacs_matches_a_per_clause_formatter(self, data):
+        # runs of equal-length clauses are formatted together; empty, unit and
+        # long clauses, in any order
+        lit = st.integers(1, 40).flatmap(lambda v: st.sampled_from((v, -v)))
+        clauses = tuple(data.draw(st.lists(st.lists(lit, max_size=6).map(tuple), max_size=30)))
+        comments = tuple(data.draw(st.lists(st.sampled_from(["a", "var 1 = 0,1", ""]), max_size=3)))
+        cnf = search.CnfInstance(40, clauses, comments)
+        assert cnf.to_dimacs() == plain_dimacs(40, clauses, comments)
+
+    def test_exported_dimacs_matches_a_per_clause_formatter(self):
+        runs = ((), (), (7,), (1, -2, 3), (4, 5, -6), (), tuple(range(-1, -15, -1)), (2,), (3,))
+        for cnf in (
+            search.CnfInstance(15, runs, ("a",)),
+            export_cnf(VectorInstance(as_modulus_vector((3, 3, 3))), 10),
+            export_cnf(UniformInstance(3, 6), 11),
+            export_cnf(VectorInstance(as_modulus_vector((3, 3))), 20),  # above the point count
+        ):
+            assert cnf.to_dimacs() == plain_dimacs(cnf.num_vars, cnf.clauses, cnf.comments)
 
 
 class TestInstances:
