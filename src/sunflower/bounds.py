@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -30,13 +29,14 @@ from .model import (
     BoundReport,
     ModulusVector,
     as_modulus_vector,
+    record,
 )
 
 _EPS = sys.float_info.epsilon
 _EXP_OVERFLOW = 709.0  # log of the largest finite double, rounded down
 
 
-@dataclass(frozen=True)
+@record
 class ApproxValue:
     """A float together with an absolute error radius."""
 
@@ -118,7 +118,7 @@ def ns_vector_bound(D: int, n: int) -> ApproxValue:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class JMinimizationResult:
     """Result of minimizing ((1-x^q)/(1-x)) x^(-(q-1)/3) over (0,1)."""
 
@@ -187,7 +187,7 @@ def j_constant(q: int) -> JMinimizationResult:
     return JMinimizationResult(q=q, x_star=math.exp(-s), j_value=j_value, error_radius=radius)
 
 
-@dataclass(frozen=True)
+@record
 class Factorization:
     """Prime-power factorization, primes ascending."""
 
@@ -251,67 +251,27 @@ def _approx_report(name: str, parameters: dict, out: ApproxValue) -> BoundReport
     return BoundReport(name, parameters, out.value, FLOAT_APPROX, radius=out.radius)
 
 
-def crt_bound(
-    m: int, n: int, factor_bounds: Mapping[int, int | float] | None = None
-) -> BoundReport:
-    """Bound on s(m, n) through the prime-power factorization of m.
+def crt_bound(m: int, n: int) -> BoundReport:
+    """Bound ((prod_i J(p_i^a_i)) m)^n on s(m, n) from the prime-power factorization of m.
 
-    With ``factor_bounds`` (recursive mode) it multiplies the caller's
-    bounds per prime-power factor (exact search values, ns_vector_bound
-    values with their radii, and so on), exact when every value is an int.
-    Without them (formula mode) it evaluates ((prod_i J(p_i^a_i)) m)^n; a
-    bare factor 2 has no J bound and is rejected.  The report's ``mode``
-    parameter names the one used.
+    A bare factor 2 has no J bound and is rejected.  The report's ``mode``
+    parameter reads ``"formula"``.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    fac = factorize(m)
-    mode = "formula" if factor_bounds is None else "recursive"
-    params: dict[str, object] = {"m": m, "n": n, "mode": mode}
-    if factor_bounds is None:
-        log_terms = [n * math.log(m)]
-        extra_rel = 4.0 * _EPS * n
-        for p, a in fac.pairs:
-            q = p**a
-            if q <= 2:
-                raise InapplicableFactor(
-                    f"factor {q} of {m} has no J bound (prime power above 2 required)"
-                )
-            res = j_constant(q)
-            log_terms.append(n * math.log(res.j_value))
-            extra_rel += n * res.error_radius / res.j_value
-        return _approx_report("crt-product", params, _exp_with_radius(log_terms, extra_rel))
-    value: int | float = 1
-    upper: int | float = 1  # prod of |factor| + radius: the product is within upper - |value|
-    exact = True
-    for p, a in fac.pairs:
-        q = p**a
-        if q not in factor_bounds:
-            raise DomainError(f"no bound supplied for factor {q}")
-        fb, fr = factor_bounds[q], 0
-        if isinstance(fb, ApproxValue):
-            fb, fr = fb.value, fb.radius
-        if not isinstance(fb, int):
-            exact = False
-        value, upper = value * fb, upper * (abs(fb) + fr)
-    params["factors"] = tuple(fac.prime_powers())
-    if exact:
-        return BoundReport(
-            name="crt-product",
-            parameters=params,
-            value=value,
-            exactness=EXACT_INT,
-            flags=("caller-supplied-factors",),
-        )
-    upper = float(upper) * (1.0 + 8.0 * _EPS * (1 + len(fac.pairs)))  # plus rounding
-    return BoundReport(
-        name="crt-product",
-        parameters=params,
-        value=float(value),
-        exactness=FLOAT_APPROX,
-        radius=upper - abs(float(value)) if upper < math.inf else math.inf,
-        flags=("caller-supplied-factors",),
-    )
+    factors = factorize(m).prime_powers()
+    log_terms = [n * math.log(m)]
+    extra_rel = 4.0 * _EPS * n
+    for q in factors:
+        if q <= 2:
+            raise InapplicableFactor(
+                f"factor {q} of {m} has no J bound (prime power above 2 required)"
+            )
+        res = j_constant(q)
+        log_terms.append(n * math.log(res.j_value))
+        extra_rel += n * res.error_radius / res.j_value
+    params = {"m": m, "n": n, "mode": "formula"}
+    return _approx_report("crt-product", params, _exp_with_radius(log_terms, extra_rel))
 
 
 def generalized_ns_bound(moduli) -> int:

@@ -11,18 +11,17 @@ leaving pass/fail meaningful only for the 2k cover form.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Sequence
 
 from .detect import bitset
 from .errors import DomainError, TooLarge
-from .model import EXACT_INT, SetFamily
+from .model import EXACT_INT, SetFamily, record
 from .search import DEFAULT_NODE_BUDGET, UniformInstance, _deadline, _solve
 
 COVER_MEMBER_CEILING = 30
 
 
-@dataclass(frozen=True)
+@record
 class ConjectureReport:
     """Extremal union size and minimum cover for one (k, m) cell."""
 

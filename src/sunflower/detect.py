@@ -25,8 +25,8 @@ they are the path that verifies search answers.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterator, Sequence
 from itertools import accumulate, combinations, product
-from typing import Collection, Iterator, Sequence
 
 from .errors import BadArity, TooLarge
 from .model import SetFamily, SunflowerWitness, VectorFamily

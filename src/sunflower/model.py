@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -42,7 +41,91 @@ def _check_distinct(items: Sequence, what: str, exc=DuplicateMember) -> None:
         seen[item] = idx
 
 
-@dataclass(frozen=True)
+_NO_DEFAULT = object()
+
+
+class _Field:
+    __slots__ = ("default", "compare")
+
+    def __init__(self, default, compare: bool):
+        self.default = default
+        self.compare = compare
+
+
+def field(*, default, compare: bool = True) -> _Field:
+    """A record field's default; ``compare=False`` leaves it out of ``==`` and hash."""
+    return _Field(default, compare)
+
+
+def _key(self) -> tuple:
+    return tuple([self.__dict__[name] for name in self._compared])
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return _key(self) == _key(other)
+    return NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_key(self))
+
+
+def _repr(self) -> str:
+    body = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self.__match_args__)
+    return f"{type(self).__qualname__}({body})"
+
+
+def _setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """Make ``cls`` an immutable record of its annotated fields, as ``dataclass(frozen=True)``.
+
+    Loading ``dataclasses`` imports ``inspect`` and generates six methods
+    per class; this generates only ``__init__`` (fields in annotation order,
+    defaults from the class body, then ``__post_init__`` if the class has
+    one) and shares the rest: equality and hash over the compared fields, a
+    repr of every field, and assignment and deletion raising
+    ``AttributeError``.  Records do not inherit.  Without ``__slots__``,
+    ``cached_property`` works and ``__post_init__`` may normalize fields with
+    ``object.__setattr__``.
+    """
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(annotations)
+    defaults, compared = {}, []
+    for name in names:
+        default, compare = cls.__dict__.get(name, _NO_DEFAULT), True
+        if isinstance(default, _Field):
+            default, compare = default.default, default.compare
+            setattr(cls, name, default)
+        if compare:
+            compared.append(name)
+        if default is not _NO_DEFAULT:
+            defaults[name] = default
+    params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
+    lines = [f"    _set(self, {n!r}, {n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    namespace = {"__name__": cls.__module__, "_defaults": defaults, "_set": object.__setattr__}
+    exec("\n".join([f"def __init__(self{params}):", *lines]), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**annotations, "return": None}
+    cls.__init__ = init
+    cls.__match_args__ = names
+    cls._compared = tuple(compared)
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
+    cls.__setattr__, cls.__delattr__ = _setattr, _delattr
+    return cls
+
+
+@record
 class SetFamily:
     """Finite family of finite sets over non-negative integer element ids.
 
@@ -117,7 +200,7 @@ def union_size(family: SetFamily) -> int:
     return len(family.universe)
 
 
-@dataclass(frozen=True)
+@record
 class ModulusVector:
     """Tuple of per-coordinate moduli, each at least 2."""
 
@@ -155,7 +238,7 @@ def as_modulus_vector(moduli) -> ModulusVector:
     return ModulusVector(tuple(moduli))
 
 
-@dataclass(frozen=True)
+@record
 class VectorFamily:
     """Family of distinct vectors, coordinate i ranging over [0, moduli[i])."""
 
@@ -201,7 +284,7 @@ class VectorFamily:
         )
 
 
-@dataclass(frozen=True)
+@record
 class PartiteStructure:
     """Ordered partition of a ground set into pairwise disjoint classes."""
 
@@ -247,7 +330,7 @@ class PartiteStructure:
         return {"classes": [sorted(c) for c in self.classes]}
 
 
-@dataclass(frozen=True)
+@record
 class SunflowerWitness:
     """Indices of members forming a sunflower, plus the certifying structure.
 
@@ -285,7 +368,7 @@ EXACT_RATIONAL = "exact-rational"
 FLOAT_APPROX = "float"
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     """One evaluated bound: value, exactness class, and comparison strictness.
 

@@ -13,9 +13,8 @@ needed to re-check it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from . import bounds as _bounds
 from .detect import (
@@ -30,6 +29,7 @@ from .model import (
     PartiteStructure,
     SetFamily,
     VectorFamily,
+    record,
     union_size,
 )
 from .rng import SplitMix64
@@ -290,7 +290,7 @@ def psi_inverse(v: VectorFamily, p: PartiteStructure) -> SetFamily:
     return SetFamily(tuple(members))
 
 
-@dataclass(frozen=True)
+@record
 class PipelineTrace:
     """Everything needed to re-check each inequality of one pipeline run."""
 

@@ -35,11 +35,10 @@ incumbent unproved, as a budget exit does.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from itertools import chain, combinations, combinations_with_replacement, groupby, product
 from math import comb, prod
 from operator import mul
-from typing import Mapping, Sequence
 
 from .detect import CompletionKernel, bitset, find_sunflower_sets, find_sunflower_vectors_lookup
 from .detect import vector_features
@@ -51,6 +50,7 @@ from .model import (
     SunflowerWitness,
     VectorFamily,
     as_modulus_vector,
+    record,
 )
 
 DEFAULT_POINT_CEILING = 2**16
@@ -61,7 +61,7 @@ _TIME_CHECK_STRIDE = 4096
 _MEMO_WINDOW = 4  # path-memo levels read and written below the current one
 
 
-@dataclass(frozen=True)
+@record
 class VectorInstance:
     """All vectors over the moduli, in lexicographic order."""
 
@@ -125,7 +125,7 @@ class VectorInstance:
         return vector_features(self.moduli, points)
 
 
-@dataclass(frozen=True)
+@record
 class UniformInstance:
     """All k-subsets of [m], in lexicographic order of sorted tuples."""
 
@@ -391,7 +391,7 @@ class _Engine:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class SearchResult:
     """Outcome of one exact-search run; witness always re-verified."""
 
@@ -591,7 +591,7 @@ def verify_family(
     )
 
 
-@dataclass(frozen=True)
+@record
 class CnfInstance:
     """CNF whose models are the anchored sunflower-free families of size >= the target."""
 

@@ -294,43 +294,16 @@ class TestCrtBound:
             crt_bound(6, 2)
         assert crt_bound(12, 2).value > 0
 
-    def test_recursive_mode_int_bounds(self):
-        r = crt_bound(15, 1, factor_bounds={3: 2, 5: 4})
-        assert r.value == 8
-        assert r.exactness == EXACT_INT
-        assert "caller-supplied-factors" in r.flags
-
-    def test_recursive_mode_carries_the_factor_radii(self):
-        # certified: the relative radius covers each factor's own relative radius
-        factors = {3: ns_vector_bound(3, 2), 5: ns_vector_bound(5, 2)}
-        r = crt_bound(15, 2, factor_bounds=factors)
-        assert r.exactness == FLOAT_APPROX
-        assert r.value == factors[3].value * factors[5].value
-        own = sum(f.radius / f.value for f in factors.values())
-        assert r.radius / r.value >= own + 8 * sys.float_info.epsilon
-        wide = {3: bounds.ApproxValue(2.0, 1.0), 5: bounds.ApproxValue(3.0, 1.0)}
-        w = crt_bound(15, 1, factor_bounds=wide)
-        assert w.value - w.radius <= 1.0 * 2.0 and w.value + w.radius >= 3.0 * 4.0
-
-    def test_recursive_mode_missing_factor(self):
-        with pytest.raises(DomainError):
-            crt_bound(15, 1, factor_bounds={3: 2})
-
     def test_bad_mode(self):
-        # the mode follows factor_bounds, so no mode can be passed
+        # only the formula is left, so neither a mode nor factor bounds can be passed
         with pytest.raises(TypeError):
             crt_bound(15, 1, mode="nonsense")
+        with pytest.raises(TypeError):
+            crt_bound(15, 1, factor_bounds={3: 2, 5: 4})
 
     @pytest.mark.parametrize(
         "call,report",
         [
-            pytest.param(
-                lambda: crt_bound(15, 1, factor_bounds={3: 2, 5: 4}),
-                {"name": "crt-product", "value": 8, "exactness": "exact-int",
-                 "strictness": "at-most", "flags": ["caller-supplied-factors"],
-                 "parameters": {"factors": [3, 5], "m": 15, "mode": "recursive", "n": 1}},
-                id="recursive",
-            ),
             pytest.param(
                 lambda: crt_bound(15, 2),
                 {"name": "crt-product", "value": 151.0960538949509, "exactness": "float",
@@ -341,7 +314,7 @@ class TestCrtBound:
         ],
     )
     def test_report_records_the_mode_it_used(self, call, report):
-        # the reports of the former mode="recursive" and mode="formula" calls
+        # the report bytes of the former mode="formula" call
         assert call().to_json_dict() == report
 
 
@@ -526,8 +499,6 @@ class TestCompareBounds:
         pytest.param(lambda: main_bound(0, 4), DomainError("k must be at least 1"), id="main"),
         pytest.param(lambda: corollary_bound(0, 0.5), DomainError("k must be at least 1"),
                      id="corollary"),
-        pytest.param(lambda: crt_bound(9, 2, factor_bounds={}),
-                     DomainError("no bound supplied for factor 9"), id="crt-recursive"),
         pytest.param(lambda: factorize(2**63 + 1),
                      TooLarge("factorization supported up to 2^63"), id="factorize-2^63+1"),
         pytest.param(lambda: JMinimizationResult(3, 1.0, 1.0, 0.0),

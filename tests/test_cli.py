@@ -627,8 +627,9 @@ _FAMILY = "1 2\n3 4\n1 3\n2 4\n"
                      id="pipeline-mode"),
         pytest.param(lambda: sf.pipeline(sf.parse_set_family(_FAMILY), threads=1),
                      id="pipeline-threads"),
-        pytest.param(lambda: sf.crt_bound(15, 1, mode="recursive", factor_bounds={3: 2, 5: 4}),
-                     id="crt_bound-mode"),
+        pytest.param(lambda: sf.crt_bound(15, 1, mode="formula"), id="crt_bound-mode"),
+        pytest.param(lambda: sf.crt_bound(15, 1, factor_bounds={3: 2, 5: 4}),
+                     id="crt_bound-factor_bounds"),
         pytest.param(lambda: sf.max_sunflower_free_vectors((3, 3), threads=1),
                      id="max_sunflower_free_vectors-threads"),
         pytest.param(lambda: sf.max_sunflower_free_uniform(2, 4, threads=1),

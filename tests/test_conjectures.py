@@ -1,7 +1,6 @@
 import itertools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +14,7 @@ from oracles import brute_cover_count, brute_find_sunflower_sets, brute_max_unio
 
 from sunflower import (
     CSV_HEADER,
+    ConjectureReport,
     DomainError,
     SetFamily,
     TooLarge,
@@ -240,7 +240,11 @@ class TestConjectureScan:
         )
 
     def test_csv_writes_none_as_empty(self):
-        report = replace(conjecture_scan([2], [4])[0], cover_count=None, cover_pass=None)
+        report = ConjectureReport(
+            k=2, m=4, max_union=4, witness=((0, 1), (0, 2), (1, 3)), implied_d=1.0,
+            cover_count=None, cover_members=(1, 2), cover_pass=None, optimal=True,
+            nodes_explored=4, elapsed=0.0,
+        )
         assert report.to_csv_row() == "2,4,4,3,1.0,,,4,True,4"
 
     def test_node_budget_bounds_the_whole_scan(self):

@@ -1,6 +1,9 @@
+import dataclasses
+import inspect
 import json
 import re
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,7 @@ from sunflower import (
     union_size,
 )
 from sunflower.errors import BadArity, NotPartite
+from sunflower.model import field, record
 
 
 class TestParseSetFamily:
@@ -330,3 +334,91 @@ def test_text_round_trip_preserves_member_structure(members):
 def test_vector_family_accepts_in_range_vectors(vectors):
     fam = VectorFamily(ModulusVector((3, 5)), tuple(vectors))
     assert fam.members == tuple(vectors)
+
+
+def _sample(decorate, make_field):
+    class Sample:
+        """A record using every feature the package's records use."""
+
+        name: str
+        size: int = 3
+        labels: dict | None = make_field(default=None, compare=False)
+
+        def __post_init__(self):
+            if self.size < 0:
+                raise ValueError("size must be non-negative")
+            object.__setattr__(self, "name", str(self.name))
+
+        @cached_property
+        def double(self) -> int:
+            return 2 * self.size
+
+    return decorate(Sample)
+
+
+class TestRecordMatchesFrozenDataclass:
+    """`record` against the stdlib's frozen dataclass as the reference."""
+
+    RECORD = _sample(record, field)
+    REFERENCE = _sample(dataclasses.dataclass(frozen=True), dataclasses.field)
+    CALLS = [
+        ((7,), {}),
+        (("a", 5), {}),
+        (("a",), {"labels": {1: "x"}}),
+        ((), {"name": "a", "size": 0, "labels": {}}),
+    ]
+
+    def test_signature_and_match_args(self):
+        assert inspect.signature(self.RECORD) == inspect.signature(self.REFERENCE)
+        assert self.RECORD.__match_args__ == self.REFERENCE.__match_args__ == (
+            "name", "size", "labels")
+
+    @pytest.mark.parametrize("args,kwargs", CALLS)
+    def test_repr_hash_and_post_init(self, args, kwargs):
+        ours, ref = self.RECORD(*args, **kwargs), self.REFERENCE(*args, **kwargs)
+        assert repr(ours) == repr(ref)
+        assert hash(ours) == hash(ref)
+        assert (ours.name, ours.size, ours.labels) == (ref.name, ref.size, ref.labels)
+        assert ours.double == ref.double == 2 * ours.size
+        assert vars(ours) == vars(ref)  # the cached value included
+
+    @pytest.mark.parametrize("left,right", [
+        (("a",), ("a",)),
+        (("a", 3, {1: "x"}), ("a", 3)),  # labels take no part in ==
+        (("a",), ("b",)),
+        (("a", 3), ("a", 4)),
+    ])
+    def test_equality(self, left, right):
+        expected = self.REFERENCE(*left) == self.REFERENCE(*right)
+        assert (self.RECORD(*left) == self.RECORD(*right)) == expected
+        assert (self.RECORD(*left) != self.RECORD(*right)) != expected
+        assert self.RECORD(*left) != self.REFERENCE(*left)
+
+    @pytest.mark.parametrize("args", [(), ("a", 1, None, 4)])
+    def test_bad_arguments_raise_the_same_type_error(self, args):
+        with pytest.raises(TypeError) as ours:
+            self.RECORD(*args)
+        with pytest.raises(TypeError) as ref:
+            self.REFERENCE(*args)
+        assert str(ours.value) == str(ref.value)
+
+    def test_post_init_validation_runs(self):
+        for cls in (self.RECORD, self.REFERENCE):
+            with pytest.raises(ValueError, match="non-negative"):
+                cls("a", -1)
+
+    @pytest.mark.parametrize("name", ["name", "labels", "other"])
+    def test_assignment_and_deletion_raise_attribute_error(self, name):
+        for obj in (self.RECORD("a"), self.REFERENCE("a")):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(obj, name, 1)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(obj, name)
+
+    def test_package_records_keep_value_semantics(self):
+        fam = SetFamily((frozenset({1}),), {1: "a"})
+        unlabelled = SetFamily((frozenset({1}),))
+        assert fam == unlabelled and hash(fam) == hash(unlabelled)
+        assert repr(ModulusVector((3, 3))) == "ModulusVector(moduli=(3, 3))"
+        with pytest.raises(AttributeError):
+            fam.members = ()
