@@ -21,9 +21,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": (
         "ApproxValue", "Factorization", "JMinimizationResult", "balanced_bound", "c_d",
-        "compare_bounds", "corollary_bound", "crt_bound", "eg_vector_bound",
-        "erdos_rado_threshold", "factorize", "generalized_ns_bound", "j_constant",
-        "kostochka_value", "main_bound", "ns_subset_bound", "ns_vector_bound",
+        "compare_bounds", "corollary_bound", "eg_vector_bound", "erdos_rado_threshold",
+        "factorize", "generalized_ns_bound", "j_constant", "kostochka_value", "main_bound",
+        "ns_subset_bound", "ns_vector_bound",
     ),
     "conjectures": (
         "CSV_HEADER", "ConjectureReport", "conjecture_scan", "cover_count", "max_union",
@@ -36,8 +36,8 @@ _EXPORTS = {
     ),
     "errors": (
         "ArityMismatch", "BadArity", "DomainError", "DuplicateMember", "EmptySet",
-        "InapplicableFactor", "InputHasSunflower", "NotPartite", "NotPrimePower",
-        "OutOfRange", "SunflowerError", "TooLarge", "UsageError",
+        "InputHasSunflower", "NotPartite", "NotPrimePower", "OutOfRange", "SunflowerError",
+        "TooLarge", "UsageError",
     ),
     "model": (
         "EXACT_INT", "EXACT_RATIONAL", "FLOAT_APPROX", "BoundReport", "ModulusVector",

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import (
     DomainError,
-    InapplicableFactor,
     NotPrimePower,
     TooLarge,
     UsageError,
@@ -251,29 +250,6 @@ def _approx_report(name: str, parameters: dict, out: ApproxValue) -> BoundReport
     return BoundReport(name, parameters, out.value, FLOAT_APPROX, radius=out.radius)
 
 
-def crt_bound(m: int, n: int) -> BoundReport:
-    """Bound ((prod_i J(p_i^a_i)) m)^n on s(m, n) from the prime-power factorization of m.
-
-    A bare factor 2 has no J bound and is rejected.  The report's ``mode``
-    parameter reads ``"formula"``.
-    """
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    factors = factorize(m).prime_powers()
-    log_terms = [n * math.log(m)]
-    extra_rel = 4.0 * _EPS * n
-    for q in factors:
-        if q <= 2:
-            raise InapplicableFactor(
-                f"factor {q} of {m} has no J bound (prime power above 2 required)"
-            )
-        res = j_constant(q)
-        log_terms.append(n * math.log(res.j_value))
-        extra_rel += n * res.error_radius / res.j_value
-    params = {"m": m, "n": n, "mode": "formula"}
-    return _approx_report("crt-product", params, _exp_with_radius(log_terms, extra_rel))
-
-
 def generalized_ns_bound(moduli) -> int:
     """3 * sum over index sets I, |I| <= floor(2n/3), of prod_{i in I} (D_i - 1).
 
@@ -302,6 +278,12 @@ def balanced_bound(n: int, M: int) -> int:
     return sum(math.comb(n, j) * a**j for j in range((2 * n) // 3 + 1))
 
 
+def _bound_prefix(k: int) -> tuple[int, list[float]]:
+    """ceil(2k/3) and the log terms of 3 (ceil(2k/3)+1) (2^(1/3) 3e)^k, shared by two bounds."""
+    ck = -(-2 * k // 3)
+    return ck, [math.log(3.0), math.log(ck + 1.0), k * (math.log(2.0) / 3.0 + math.log(3.0) + 1.0)]
+
+
 def main_bound(k: int, M: int) -> BoundReport:
     """3 (ceil(2k/3)+1) (2^(1/3) 3e)^k (ceil(M/k)-1)^ceil(2k/3), log-space.
 
@@ -313,7 +295,6 @@ def main_bound(k: int, M: int) -> BoundReport:
         raise DomainError("k must be at least 1")
     if M < k:
         raise DomainError("M must be at least k")
-    ck = -(-2 * k // 3)
     a = -(-M // k) - 1
     params = {"k": k, "M": M}
     if a == 0:
@@ -325,15 +306,8 @@ def main_bound(k: int, M: int) -> BoundReport:
             radius=0.0,
             flags=("degenerate-zero",),
         )
-    out = _exp_with_radius(
-        [
-            math.log(3.0),
-            math.log(ck + 1.0),
-            k * (math.log(2.0) / 3.0 + math.log(3.0) + 1.0),
-            ck * math.log(a),
-        ]
-    )
-    return _approx_report("main-bound", params, out)
+    ck, terms = _bound_prefix(k)
+    return _approx_report("main-bound", params, _exp_with_radius([*terms, ck * math.log(a)]))
 
 
 def corollary_bound(k: int, epsilon: float) -> BoundReport:
@@ -346,13 +320,8 @@ def corollary_bound(k: int, epsilon: float) -> BoundReport:
         raise DomainError("k must be at least 1")
     if not 0.0 < epsilon < 1.5:
         raise DomainError("epsilon must lie in (0, 1.5)")
-    ck = -(-2 * k // 3)
     expo = math.ceil(k * (1 - 2 * Fraction(epsilon) / 3))
-    terms = [
-        math.log(3.0),
-        math.log(ck + 1.0),
-        k * (math.log(2.0) / 3.0 + math.log(3.0) + 1.0),
-    ]
+    _, terms = _bound_prefix(k)
     if k > 1:  # epsilon < 1.5 forces expo >= 1; k = 1 contributes log 1 = 0
         terms.append(expo * math.log(k))
     params = {"k": k, "epsilon": epsilon, "exponent": expo}

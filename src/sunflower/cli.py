@@ -186,10 +186,7 @@ def _cmd_reduce_pipeline(args) -> int:
         raise UsageError("--rounds needs --seed")
     family = parse_set_family(_read_text(args))
     rounds = {} if args.rounds is None else {"rounds": args.rounds}
-    text = dump_json(sf.pipeline(family, seed=args.seed, **rounds).to_json_dict())
-    if args.json_out:
-        _write_text(args.json_out, text)
-    sys.stdout.write(text)
+    _emit(sf.pipeline(family, seed=args.seed, **rounds).to_json_dict())
     return 0
 
 
@@ -333,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(r_pipe)
     r_pipe.add_argument("--seed", type=int, help="seeded random partition")
     r_pipe.add_argument("--rounds", type=int, help="seeded rounds to try")
-    r_pipe.add_argument("--json", dest="json_out", metavar="FILE",
-                        help="also write the trace to FILE")
     r_pipe.set_defaults(handler=_cmd_reduce_pipeline)
 
     search_p = subs.add_parser("search", help="exact maximum sunflower-free families")

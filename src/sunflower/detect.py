@@ -215,8 +215,14 @@ def witness_holds(family: SetFamily, witness: SunflowerWitness) -> bool:
     return witness.kernel is None or witness.kernel == kernel_of(chosen)
 
 
+def _require_one_arity(*vectors: Sequence[int]) -> None:
+    if len({len(v) for v in vectors}) > 1:
+        raise BadArity("vectors must share one arity")
+
+
 def coordinate_classes(x: Sequence[int], y: Sequence[int], z: Sequence[int]) -> tuple[str, ...]:
     """Per-coordinate tag: 'all-equal', 'all-distinct', or 'two-equal'."""
+    _require_one_arity(x, y, z)
     tags = ("all-equal", "two-equal", "all-distinct")  # by count of distinct values
     return tuple(tags[len({a, b, c}) - 1] for a, b, c in zip(x, y, z))
 
@@ -226,8 +232,7 @@ def is_sunflower_vectors(
 ) -> bool:
     """True when no coordinate has exactly two of the three values equal."""
     x, y, z = tuple(x), tuple(y), tuple(z)
-    if len(x) != len(y) or len(y) != len(z):
-        raise BadArity("vectors must share one arity")
+    _require_one_arity(x, y, z)
     if x == y or y == z or x == z:
         raise BadArity("vector sunflower members must be distinct")
     return all(len({a, b, c}) != 2 for a, b, c in zip(x, y, z))
@@ -275,6 +280,7 @@ def find_sunflower_vectors_lookup(family: VectorFamily) -> SunflowerWitness | No
 
 def is_ap_triple(x: Sequence[int], y: Sequence[int], z: Sequence[int], moduli) -> bool:
     """Arithmetic progression per coordinate: x_i + z_i = 2 y_i (mod D_i)."""
+    _require_one_arity(x, y, z, moduli)
     return all((a + c - 2 * b) % d == 0 for a, b, c, d in zip(x, y, z, moduli))
 
 

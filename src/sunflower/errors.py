@@ -38,10 +38,6 @@ class NotPrimePower(SunflowerError):
     """A modulus that must be a prime power is not one."""
 
 
-class InapplicableFactor(SunflowerError):
-    """A factor-wise bound was requested for a factor it does not cover."""
-
-
 class NotPartite(SunflowerError):
     """A family was not partite with respect to the given partition."""
 

@@ -704,9 +704,11 @@ def cnf_satisfiable(cnf: CnfInstance) -> bool:
     more than CNF_VAR_CEILING input variables are refused (chain variables
     do not count).
     """
-    if cnf.num_vars > CNF_VAR_CEILING:
-        raise TooLarge(f"naive checker capped at {CNF_VAR_CEILING} variables")
     n = cnf.num_vars
+    if n < 0:
+        raise DomainError("num_vars must be at least 0")
+    if n > CNF_VAR_CEILING:
+        raise TooLarge(f"naive checker capped at {CNF_VAR_CEILING} variables")
     if any(not 0 < abs(lit) <= n for cl in cnf.clauses for lit in cl):
         raise DomainError(f"a literal names no variable in 1..{n}")
     if any(len(cl) == 0 for cl in cnf.clauses):

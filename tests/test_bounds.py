@@ -34,7 +34,6 @@ from sunflower import (
     FLOAT_APPROX,
     DomainError,
     Factorization,
-    InapplicableFactor,
     JMinimizationResult,
     NotPrimePower,
     SplitMix64,
@@ -44,7 +43,6 @@ from sunflower import (
     c_d,
     compare_bounds,
     corollary_bound,
-    crt_bound,
     eg_vector_bound,
     erdos_rado_threshold,
     factorize,
@@ -279,45 +277,6 @@ class TestEgVectorBound:
             eg_vector_bound(2, 2)
 
 
-class TestCrtBound:
-    def test_formula_mode_frozen(self):
-        r = crt_bound(15, 2)
-        assert r.name == "crt-product"
-        # (J(3)*3)^2 * (J(5)*5)^2
-        ref = float(mp_eg_vector(3, 2) * mp_eg_vector(5, 2))
-        assert abs(r.value - ref) <= r.radius + 1e-7
-
-    def test_formula_mode_rejects_bare_factor_two(self):
-        # 6 = 2 * 3 carries a bare 2, which has no J constant; 12 = 4 * 3
-        # does not (J(4) exists), so it must evaluate.
-        with pytest.raises(InapplicableFactor):
-            crt_bound(6, 2)
-        assert crt_bound(12, 2).value > 0
-
-    def test_bad_mode(self):
-        # only the formula is left, so neither a mode nor factor bounds can be passed
-        with pytest.raises(TypeError):
-            crt_bound(15, 1, mode="nonsense")
-        with pytest.raises(TypeError):
-            crt_bound(15, 1, factor_bounds={3: 2, 5: 4})
-
-    @pytest.mark.parametrize(
-        "call,report",
-        [
-            pytest.param(
-                lambda: crt_bound(15, 2),
-                {"name": "crt-product", "value": 151.0960538949509, "exactness": "float",
-                 "strictness": "at-most", "radius": 3.673217025387997e-11,
-                 "parameters": {"m": 15, "mode": "formula", "n": 2}},
-                id="formula",
-            ),
-        ],
-    )
-    def test_report_records_the_mode_it_used(self, call, report):
-        # the report bytes of the former mode="formula" call
-        assert call().to_json_dict() == report
-
-
 class TestGeneralizedNs:
     def test_frozen_values(self):
         assert generalized_ns_bound((3, 3)) == 15
@@ -406,6 +365,11 @@ class TestCorollaryBound:
                 1 + abs(r.value)
             )
 
+    def test_value_and_radius_frozen(self):
+        # exact bits: the log terms it shares with main_bound keep one summation order
+        r = corollary_bound(16, 0.5)
+        assert (r.value, r.radius) == (9.767139849625845e30, 1.2553812236354263e18)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             corollary_bound(3, 0.0)
@@ -493,7 +457,6 @@ class TestCompareBounds:
                      id="ns-vector"),
         pytest.param(lambda: eg_vector_bound(3, 0), DomainError("n must be at least 1"),
                      id="eg-vector"),
-        pytest.param(lambda: crt_bound(9, 0), DomainError("n must be at least 1"), id="crt"),
         pytest.param(lambda: balanced_bound(0, 4), DomainError("n must be at least 1"),
                      id="balanced"),
         pytest.param(lambda: main_bound(0, 4), DomainError("k must be at least 1"), id="main"),

@@ -173,20 +173,6 @@ class TestReduceCommand:
         assert payload["error"] == "InputHasSunflower"
         assert payload["witness"]["members"] == [0, 1, 2]
 
-    def test_pipeline_json_file(self, capsys, tmp_path):
-        target = tmp_path / "trace.json"
-        code, out, _ = run(
-            capsys,
-            "reduce",
-            "pipeline",
-            "--inline",
-            "1 2;3 4",
-            "--json",
-            str(target),
-        )
-        assert code == 0
-        assert target.read_text() == out
-
     @pytest.mark.parametrize("rounds", ["0", "3"])
     @pytest.mark.parametrize("mode", [()], ids=["default"])
     def test_rounds_without_seed_is_usage_error(self, capsys, rounds, mode):
@@ -478,10 +464,9 @@ class TestCliContract:
         "argv",
         [
             ("cnf", "export", "--moduli", "3,3", "--size", "4", "--out"),
-            ("reduce", "pipeline", "--inline", "1 2;3 4", "--json"),
             ("conjecture", "scan", "--k", "2", "--m", "4", "--csv"),
         ],
-        ids=["cnf-out", "reduce-json", "scan-csv"],
+        ids=["cnf-out", "scan-csv"],
     )
     def test_unwritable_output_file_is_usage_error(self, capsys, tmp_path, argv):
         target = tmp_path / "missing" / "out.txt"
@@ -627,9 +612,6 @@ _FAMILY = "1 2\n3 4\n1 3\n2 4\n"
                      id="pipeline-mode"),
         pytest.param(lambda: sf.pipeline(sf.parse_set_family(_FAMILY), threads=1),
                      id="pipeline-threads"),
-        pytest.param(lambda: sf.crt_bound(15, 1, mode="formula"), id="crt_bound-mode"),
-        pytest.param(lambda: sf.crt_bound(15, 1, factor_bounds={3: 2, 5: 4}),
-                     id="crt_bound-factor_bounds"),
         pytest.param(lambda: sf.max_sunflower_free_vectors((3, 3), threads=1),
                      id="max_sunflower_free_vectors-threads"),
         pytest.param(lambda: sf.max_sunflower_free_uniform(2, 4, threads=1),
@@ -648,6 +630,8 @@ _FAMILY = "1 2\n3 4\n1 3\n2 4\n"
                      id="search-uniform--point-ceiling"),
         pytest.param(["reduce", "pipeline", "--inline", "1 2;3 4", "--allow-empty"],
                      id="reduce-pipeline--allow-empty"),
+        pytest.param(["reduce", "pipeline", "--inline", "1 2;3 4", "--json", "out.json"],
+                     id="reduce-pipeline--json"),
         pytest.param(lambda: sf.ek_partition(sf.parse_set_family(_FAMILY), k=2),
                      id="ek_partition-k"),
         pytest.param(lambda: sf.kostochka_value(20, alpha=2.0), id="kostochka_value-alpha"),

@@ -294,6 +294,13 @@ class TestFastMatchesNaive:
                      id="witness-of-one"),
         pytest.param(lambda: is_sunflower_vectors((0, 1), (1,), (2, 2)),
                      BadArity("vectors must share one arity"), id="mixed-arity"),
+        # zip would stop at the shortest argument and judge only a prefix
+        pytest.param(lambda: coordinate_classes((0, 1), (0,), (0,)),
+                     BadArity("vectors must share one arity"), id="classes-mixed-arity"),
+        pytest.param(lambda: is_ap_triple((0, 1), (0,), (0,), (3, 3)),
+                     BadArity("vectors must share one arity"), id="ap-mixed-arity"),
+        pytest.param(lambda: is_ap_triple((0,), (1,), (2,), (3, 3)),
+                     BadArity("vectors must share one arity"), id="ap-moduli-arity"),
     ],
 )
 def test_checks_no_other_test_reaches(call, expected):

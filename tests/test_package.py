@@ -20,11 +20,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PUBLIC_NAMES = """
     ApproxValue ArityMismatch BadArity BoundReport CSV_HEADER CnfInstance ConjectureReport
     DomainError DuplicateMember EXACT_INT EXACT_RATIONAL EmptySet FLOAT_APPROX Factorization
-    InapplicableFactor InputHasSunflower JMinimizationResult ModulusVector NotPartite
+    InputHasSunflower JMinimizationResult ModulusVector NotPartite
     NotPrimePower OutOfRange PartiteStructure PipelineTrace SearchResult SetFamily SplitMix64
     SunflowerError SunflowerWitness TooLarge UniformInstance UsageError VectorFamily
     VectorInstance as_modulus_vector balanced_bound c_d cnf_satisfiable compare_bounds
-    conjecture_scan coordinate_classes corollary_bound cover_count crt_bound crt_map dump_json
+    conjecture_scan coordinate_classes corollary_bound cover_count crt_map dump_json
     eg_vector_bound ek_guarantee ek_partition embed_vectors_as_sets erdos_rado_threshold
     export_cnf extract_gl factorize find_ap_triple find_sunflower_sets find_sunflower_sets_fast
     find_sunflower_vectors generalized_ns_bound greedy_lower_bound is_ap_triple
@@ -125,7 +125,7 @@ def test_star_import_binds_exactly_the_public_names():
         print(json.dumps([sorted(set(namespace) - {"__builtins__"}), sunflower.__all__]))
         """
     )
-    assert len(PUBLIC_NAMES) == 82
+    assert len(PUBLIC_NAMES) == 80
     assert names == [PUBLIC_NAMES, PUBLIC_NAMES]
 
 
@@ -201,7 +201,7 @@ CLI_FLAGS = {
     "detect ap": "--in --inline --moduli",
     "bounds": "--moduli --k --M --format",
     "bounds j": "--q",
-    "reduce pipeline": "--in --inline --seed --rounds --json",
+    "reduce pipeline": "--in --inline --seed --rounds",
     "search vectors": "--moduli --budget-nodes --time-limit --threads",
     "search uniform": "--k --m --budget-nodes --time-limit",
     "cnf export": "--moduli --k --m --size --out",
@@ -249,4 +249,4 @@ def test_cli_flags_are_the_pinned_ones():
 
     walk(build_parser(), [])
     assert found == CLI_FLAGS
-    assert sum(len(v.split()) for v in found.values()) == 43
+    assert sum(len(v.split()) for v in found.values()) == 42

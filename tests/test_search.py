@@ -850,6 +850,14 @@ class TestDpll:
         assert cnf_satisfiable(CnfInstance(2, ((1,), (-2,)), ()))
         assert not cnf_satisfiable(CnfInstance(1, ((1,), (-1,)), ()))
 
+    @pytest.mark.parametrize("cnf", [(-1, (), ()), (-3, ((),), ())],
+                             ids=["no-clause", "empty-clause"])
+    def test_negative_variable_count_is_refused(self, cnf):
+        from sunflower.search import CnfInstance
+
+        with pytest.raises(DomainError, match="num_vars must be at least 0"):
+            cnf_satisfiable(CnfInstance(*cnf))
+
     def test_unit_chain_propagation(self):
         from sunflower.search import CnfInstance
 
