@@ -370,6 +370,13 @@ class TestCorollaryBound:
         r = corollary_bound(16, 0.5)
         assert (r.value, r.radius) == (9.767139849625845e30, 1.2553812236354263e18)
 
+    @pytest.mark.parametrize("k", [2, 3, 16])
+    def test_equals_main_bound_where_the_formulas_meet(self, k):
+        # eps = 1/2 makes the exponent ceil(2k/3), and M = k(k+1) makes ceil(M/k)-1 = k,
+        # so both bounds sum the same terms in the same order: equal to the bit
+        a, b = main_bound(k, k * (k + 1)), corollary_bound(k, 0.5)
+        assert (a.value, a.radius) == (b.value, b.radius)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             corollary_bound(3, 0.0)

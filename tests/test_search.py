@@ -850,8 +850,8 @@ class TestDpll:
         assert cnf_satisfiable(CnfInstance(2, ((1,), (-2,)), ()))
         assert not cnf_satisfiable(CnfInstance(1, ((1,), (-1,)), ()))
 
-    @pytest.mark.parametrize("cnf", [(-1, (), ()), (-3, ((),), ())],
-                             ids=["no-clause", "empty-clause"])
+    @pytest.mark.parametrize("cnf", [(-1, (), ()), (-3, ((),), ()), (-1, ((1,),), ())],
+                             ids=["no-clause", "empty-clause", "literal-clause"])
     def test_negative_variable_count_is_refused(self, cnf):
         from sunflower.search import CnfInstance
 
