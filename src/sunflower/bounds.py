@@ -230,7 +230,14 @@ def factorize(m: int) -> Factorization:
 
 
 def eg_vector_bound(q: int, n: int) -> ApproxValue:
-    """(J(q) q)^n for a prime power q > 2, with an error radius."""
+    """(J(q) q)^n for a prime power q > 2, with an error radius.
+
+    It bounds families with no three-term progression of distinct points.
+    For odd q such a progression is a sunflower, so it bounds sunflower-free
+    families too, and compare_bounds reports it for moduli (q,) * n with q
+    an odd prime power.  For even q it need not be one: in Z4^2 the
+    progression (0,0), (2,1), (0,2) has first coordinates 0, 2, 0.
+    """
     if n < 1:
         raise DomainError("n must be at least 1")
     fac = factorize(q)
@@ -371,7 +378,7 @@ def _compare_vector_bounds(mv: ModulusVector) -> list[BoundReport]:
         if d > 2:
             nsv = ns_vector_bound(d, mv.n)
             reports.append(_approx_report("ns-vector", {"D": d, "n": mv.n}, nsv))
-            if factorize(d).is_prime_power:
+            if d % 2 and factorize(d).is_prime_power:
                 eg = eg_vector_bound(d, mv.n)
                 reports.append(_approx_report("eg-vector", {"q": d, "n": mv.n}, eg))
     reports.sort(key=lambda r: (r.value, r.name))  # exact: no float overflow

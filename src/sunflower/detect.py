@@ -11,22 +11,29 @@ and misses A ^ B, so a pair's completions are the AND of per-feature member
 columns over A & B minus those over A ^ B.  The A ^ B side is taken first
 and stops once nothing is left: a coordinate whose column holds only the
 pair's two values leaves no third one, which is why every family over D = 2
-is sunflower-free.  The kernel also yields every sunflower triple in lex
-order, by buckets of equal trace on each i (triples): the fast detectors and
-CNF export use that, and the exact search narrows through a lazy table of
-completions that it owns.
+is sunflower-free.  For the same reason the three members of a sunflower
+agree on every column holding at most two values: the kernel keys each
+member by its features among such complementary pairs, and the exact
+search skips pairs of different keys when it narrows from scratch.  The
+kernel also yields every sunflower triple in lex order, by buckets of equal
+trace on each i (triples): the fast detectors and CNF export use that, and
+the exact search narrows through a lazy table of completions that it owns.
 
 Searches scan index combinations in lexicographic order, so the witness
 returned is always the lexicographically smallest one.  The definitional
 scans, find_sunflower_sets (pairwise ANDs of member bitsets it builds itself)
-and the pair-lookup find_sunflower_vectors_lookup, use no CompletionKernel;
-they are the path that verifies search answers.
+and the pair-lookup find_sunflower_vectors_lookup (pairs within one class of
+equal values on the columns holding at most two), use no CompletionKernel;
+they are the path that verifies search answers.  find_ap_triple maps each
+row's later members through per-row tables of third terms.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Iterator, Sequence
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, compress, islice, product, repeat
+from math import prod
+from operator import getitem, gt
 
 from .errors import BadArity, TooLarge
 from .model import SetFamily, SunflowerWitness, VectorFamily
@@ -137,6 +144,12 @@ class CompletionKernel:
     rows[j] ^ t: j tests the later members of its bucket one at a time,
     unless they outnumber COLUMN_BRANCH_RATIO times that petal's feature
     count; then it ANDs the petal's miss columns into the bucket's bitset.
+
+    keys[l] is member l's features among the complementary pairs, two
+    features of which every member holds exactly one (for vectors, the two
+    values of a column holding two).  Members of different keys have no
+    completion: one holds f and the other g of some such pair, so both lie
+    in A ^ B, and every third member holds one of them.
     """
 
     def __init__(self, members: Sequence[Collection[int]]):
@@ -148,6 +161,9 @@ class CompletionKernel:
         self.cols = {f: bitset(ls) for f, ls in holders.items()}
         self.full = (1 << len(self.rows)) - 1
         self.misses = {f: self.full ^ col for f, col in self.cols.items()}
+        held = set(self.cols.values())
+        split = bitset([f for f, miss in self.misses.items() if miss in held])
+        self.keys = [row & split for row in self.rows]
 
     def completions(self, i: int, j: int) -> int:
         """Members l other than i, j with (i, j, l) a 3-sunflower."""
@@ -249,32 +265,41 @@ def find_sunflower_vectors(family: VectorFamily) -> SunflowerWitness | None:
 
 
 def find_sunflower_vectors_lookup(family: VectorFamily) -> SunflowerWitness | None:
-    """Definitional scan, quadratic when no column holds over 3 values; lex-first witness.
+    """Definitional pair lookup over classes; lex-first witness.
 
-    A pair (x, y) fixes every completing z: z_c = x_c where x and y agree, a
-    third value where they differ, and only values present in column c of the
-    family can occur there.  Candidates are looked up when they number no
-    more than the members above j; else those are tested.
+    The three members of a sunflower agree on every column holding at most
+    two values, so only pairs within one class of equal values on those
+    columns are tried: i ascending, then the later members of its class.
+    Such a pair (x, y) fixes every completing z: z_c = x_c where x and y
+    agree, a third value where they differ, and only values present in
+    column c of the family can occur there.  Candidates are looked up when
+    they number no more than the class members above j; else those are
+    tested.  Over Z2^n every class is one member and no pair is tried.
     """
     members = family.members
     index = {m: l for l, m in enumerate(members)}
     columns = [set(col) for col in zip(*members)]
-    for (i, x), (j, y) in combinations(enumerate(members), 2):
-        count = 1
-        for a, b, col in zip(x, y, columns):
-            if a != b and not (count := count * (len(col) - 2)):
-                break  # a differing coordinate whose column holds only a, b
-        if not count:
-            continue
-        if count <= len(members) - j - 1:
-            axes = [(a,) if a == b else col - {a, b} for a, b, col in zip(x, y, columns)]
-            l = min((index[z] for z in product(*axes) if index.get(z, -1) > j), default=None)
-        else:
-            above = range(j + 1, len(members))
-            l = next((l for l in above if is_sunflower_vectors(x, y, members[l])), None)
-        if l is not None:
-            classes = coordinate_classes(x, y, members[l])
-            return SunflowerWitness((i, j, l), coordinate_classes=classes)
+    split = [len(col) <= 2 for col in columns]
+    classes: dict[tuple[int, ...], list[int]] = {}
+    places = []  # member l's class, ascending, and l's place in it
+    for l, m in enumerate(members):
+        cls = classes.setdefault(tuple(compress(m, split)), [])
+        places.append((cls, len(cls)))
+        cls.append(l)
+    for i, (x, (cls, place)) in enumerate(zip(members, places)):
+        later = cls[place + 1 :]
+        for r, j in enumerate(later, 1):
+            y = members[j]
+            count = prod(len(col) - 2 for a, b, col in zip(x, y, columns) if a != b)
+            if count <= len(later) - r:
+                axes = [(a,) if a == b else col - {a, b} for a, b, col in zip(x, y, columns)]
+                l = min((index[z] for z in product(*axes) if index.get(z, -1) > j), default=None)
+            else:
+                above = islice(later, r, None)
+                l = next((l for l in above if is_sunflower_vectors(x, y, members[l])), None)
+            if l is not None:
+                tags = coordinate_classes(x, y, members[l])
+                return SunflowerWitness((i, j, l), coordinate_classes=tags)
     return None
 
 
@@ -287,15 +312,21 @@ def is_ap_triple(x: Sequence[int], y: Sequence[int], z: Sequence[int], moduli) -
 def find_ap_triple(family: VectorFamily) -> tuple[int, int, int] | None:
     """First index triple (i, j, l), i < j < l, with m_i + m_l = 2 m_j coordinatewise.
 
-    Members are distinct, so each pair (i, j), in lex order, fixes the third
-    term; its index is accepted only above j (with even moduli it may be i).
+    Members are distinct, so each pair (i, j) fixes the third term (2b - a)
+    mod d per coordinate; its index is accepted only above j (with even
+    moduli it may be i).  thirds[c][a] is the table b -> (2b - a) mod d, so
+    row i maps every later member through its own tables, and looks the
+    whole row up, with map calls; the first hit in j is the lex-first triple.
     """
     members = family.members
-    moduli = tuple(family.moduli)
-    index = {m: l for l, m in enumerate(members)}
-    for i, x in enumerate(members):
-        for j in range(i + 1, len(members)):
-            z = tuple((2 * b - a) % d for a, b, d in zip(x, members[j], moduli))
-            if index.get(z, -1) > j:
-                return (i, j, index[z])
+    thirds = [[tuple((2 * b - a) % d for b in range(d)) for a in range(d)] for d in family.moduli]
+    index = {m: l for l, m in enumerate(members)}.get
+    for i, x in enumerate(members, 1):
+        tables = list(map(getitem, thirds, x))
+        terms = map(tuple, map(map, repeat(getitem), repeat(tables), members[i:]))
+        found = list(map(index, terms, repeat(-1)))
+        hits = list(map(gt, found, range(i, len(members))))
+        if True in hits:
+            k = hits.index(True)
+            return (i - 1, i + k, found[k])
     return None

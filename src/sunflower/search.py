@@ -21,11 +21,12 @@ Triple constraints come from a detect.CompletionKernel over the points'
 features, cached in the engine's lazy table: row p, made when point p is
 first narrowed, holds at each chosen a < p the complement of the
 completions of (a, p), filled on first read.  Greedy and the anchored
-starts narrow with _Engine.narrow; the walk keeps a path memo so that an
-include ANDs one memo entry instead of every chosen point's slot, and
-settles a leaf or pruned child without pushing it (see _Engine).  Answers
-are verified with the definitional scans of detect (for vectors the pair
-lookup, quadratic when no column holds more than 3 values), never with that
+starts narrow with _Engine.narrow, which skips chosen points of another
+kernel key; the walk keeps a path memo so that an include ANDs one memo
+entry instead of every chosen point's slot, and settles a leaf or pruned
+child without pushing it (see _Engine).  Answers are verified with the
+definitional scans of detect (for vectors the pair lookup within classes
+of equal values on the columns holding at most two), never with that
 kernel.  One driver, _solve, runs every search.  time_limit is one
 deadline, set at call start, and max_nodes one budget, for greedy's
 includes and the engine's nodes; an interrupt during either returns the
@@ -242,11 +243,20 @@ class _Engine:
         self.best_value = self._acc(incumbent).bit_count()
 
     def narrow(self, cands: int, chosen: Sequence[int], p: int) -> int:
-        """cands without the completions of (a, p) for each chosen a < p."""
+        """cands without the completions of (a, p) for each chosen a < p.
+
+        A chosen a of another kernel key than p's has no completion with p
+        (see CompletionKernel), so it is skipped and fills no slot; over Z2^n
+        every point is its own key and greedy fills none.
+        """
         row = self.table[p]
         if row is None:
             row = self.table[p] = [None] * p
+        keys = self.kernel.keys
+        key = keys[p]
         for a in chosen:
+            if keys[a] != key:
+                continue
             keep = row[a]
             if keep is None:
                 keep = row[a] = ~self.kernel.completions(a, p)

@@ -68,6 +68,16 @@ def brute_sunflower_triples(members, vectors=False):
     ]
 
 
+def brute_complementary_pairs(members):
+    """Pairs of elements (e, f), e < f, such that every member holds exactly one."""
+    elements = sorted(set().union(*map(set, members)))
+    return [
+        (e, f)
+        for e, f in itertools.combinations(elements, 2)
+        if all((e in mem) != (f in mem) for mem in members)
+    ]
+
+
 def brute_find_ap_triple(members, moduli):
     """First (i, j, l), i < j < l, with m_i + m_l = 2 m_j in every coordinate."""
     for i, j, l in itertools.combinations(range(len(members)), 3):

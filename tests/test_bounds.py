@@ -444,6 +444,14 @@ class TestCompareBounds:
         values = [r.numeric() for r in reports]
         assert values == sorted(values)
 
+    @pytest.mark.parametrize("q,listed", [(3, True), (9, True), (4, False)])
+    def test_eg_vector_only_for_odd_prime_powers(self, q, listed):
+        # For even q a progression of distinct points need not be a sunflower:
+        # in Z4^2, (0,0), (2,1), (0,2) has first coordinates 0, 2, 0.
+        names = {r.name for r in compare_bounds(moduli=(q, q))}
+        assert ("eg-vector" in names) == listed
+        assert "ns-vector" in names
+
     def test_vector_context_composite_modulus(self):
         # 15 is not a prime power: no EG entry; the rest still apply.
         names = {r.name for r in compare_bounds(moduli=(15, 15))}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import (
+    brute_complementary_pairs,
     brute_find_ap_triple,
     brute_find_sunflower_sets,
     brute_find_sunflower_vectors,
@@ -401,6 +402,89 @@ def test_property_vector_completions_match_definitional():
 
     check()
     assert any(settled_empty)
+
+
+def two_valued_vectors(data, max_size):
+    """Moduli over 2, some columns limited to two of their values, e.g. {0, 3} mod 5."""
+    n = data.draw(st.integers(1, 4), label="n")
+    moduli = tuple(data.draw(st.sampled_from((3, 4, 5, 7))) for _ in range(n))
+    values = [
+        data.draw(st.sampled_from([range(d)] + list(itertools.combinations(range(d), 2))))
+        for d in moduli
+    ]
+    members = data.draw(
+        st.lists(st.tuples(*(st.sampled_from(v) for v in values)), max_size=max_size, unique=True),
+        label="members",
+    )
+    return moduli, members
+
+
+def check_keys_split_completions(kernel, members, features, vectors):
+    """Keys agree exactly on the complementary pairs; keys that differ close nothing."""
+    pairs = brute_complementary_pairs(features)
+    test = (lambda c: brute_is_sunflower_vectors(*c)) if vectors else brute_is_sunflower_sets
+    split = 0
+    for i, j in itertools.combinations(range(len(members)), 2):
+        agree = all((e in features[i]) == (e in features[j]) for e, _ in pairs)
+        assert (kernel.keys[i] == kernel.keys[j]) == agree
+        if not agree:
+            split += 1
+            assert kernel.completions(i, j) == 0
+            third = (l for l in range(len(members)) if l not in (i, j))
+            assert not any(test([members[i], members[j], members[l]]) for l in third)
+    return split
+
+
+def test_property_members_of_different_keys_have_no_completion():
+    splits = []
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def check(data):
+        moduli, members = two_valued_vectors(data, 14)
+        features = vector_features(moduli, members)
+        kernel = CompletionKernel(features)
+        splits.append(check_keys_split_completions(kernel, members, features, vectors=True))
+        # a column holding two values is a complementary pair: it splits the keys
+        two_valued = [len(set(col)) == 2 for col in zip(*members)]
+        for i, j in itertools.combinations(range(len(members)), 2):
+            if any(a != b for a, b, c in zip(members[i], members[j], two_valued) if c):
+                assert kernel.keys[i] != kernel.keys[j]
+
+    check()
+    assert sum(splits) > 0  # the sample must hold pairs of different keys
+
+
+def test_property_set_members_of_different_keys_have_no_completion():
+    splits = []
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from((0, 1)), st.sampled_from((2, 3)),
+                      st.frozensets(st.integers(4, 8), max_size=3)).map(
+                lambda t: frozenset({t[0], t[1]}) | t[2]),
+            max_size=12,
+            unique=True,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def check(members):
+        # each member holds exactly one of 0, 1 and exactly one of 2, 3
+        kernel = CompletionKernel(members)
+        splits.append(check_keys_split_completions(kernel, members, members, vectors=False))
+
+    check()
+    assert sum(splits) > 0  # the sample must hold pairs of different keys
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_property_scans_match_brute_force_on_two_valued_columns(data):
+    moduli, members = two_valued_vectors(data, 16)
+    f = VectorFamily(ModulusVector(moduli), tuple(members))
+    w = find_sunflower_vectors_lookup(f)
+    assert (w and w.indices) == brute_find_sunflower_vectors(members)
+    assert find_ap_triple(f) == brute_find_ap_triple(members, moduli)
 
 
 SET_MEMBER_LISTS = st.one_of(

@@ -1128,6 +1128,52 @@ class TestPairMasks:
             UniformInstance(k, m), lambda a, b, c: brute_is_sunflower_sets((a, b, c))
         )
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_property_narrow_equals_a_naive_and_over_every_chosen_point(self, data):
+        # Z2 coordinates split the kernel keys, so narrow skips chosen points
+        if data.draw(st.booleans(), label="vectors"):
+            moduli = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=3), label="moduli")
+            inst = VectorInstance(as_modulus_vector(moduli))
+            is_sunflower = brute_is_sunflower_vectors
+        else:
+            inst = UniformInstance(data.draw(st.integers(1, 3)), data.draw(st.integers(3, 6)))
+
+            def is_sunflower(a, b, c):
+                return brute_is_sunflower_sets((a, b, c))
+        pts = inst.points()
+        engine = _Engine(CompletionKernel(inst.features(pts)), 10**9, None)
+        for _ in range(3):  # later calls also read slots the earlier ones filled
+            p = data.draw(st.integers(0, len(pts) - 1), label="p")
+            below = st.lists(st.integers(0, p - 1), unique=True) if p else st.just([])
+            chosen = data.draw(below, label="chosen")
+            cands = data.draw(st.integers(0, (1 << len(pts)) - 1), label="cands")
+            expected = cands
+            for a in chosen:
+                for l, z in enumerate(pts):
+                    if l not in (a, p) and is_sunflower(pts[a], pts[p], z):
+                        expected &= ~(1 << l)
+            assert engine.narrow(cands, chosen, p) == expected
+
+    @pytest.mark.parametrize(
+        "moduli,count", [((2,) * 6 + (3,), 64), ((2,) * 7, 0), ((3, 3, 3), 28)]
+    )
+    def test_greedy_computes_completions_only_within_one_key(self, monkeypatch, moduli, count):
+        # Z2^6 x Z3: each key is a class of three points, a sunflower, so greedy
+        # keeps two of each and computes one completion per class; Z2^7: none.
+        # Z3^3 has one key: all C(8, 2) pairs of greedy's 8 points.
+        pairs = []
+        real = CompletionKernel.completions
+
+        def completions(kernel, i, j):
+            pairs.append((kernel.keys[i], kernel.keys[j]))
+            return real(kernel, i, j)
+
+        monkeypatch.setattr(CompletionKernel, "completions", completions)
+        greedy_lower_bound(VectorInstance(as_modulus_vector(moduli)))
+        assert all(a == b for a, b in pairs)
+        assert len(pairs) == count
+
 
 @given(st.lists(st.integers(2, 4), min_size=1, max_size=3))
 @settings(max_examples=25, deadline=None)
