@@ -145,7 +145,7 @@ class CompletionKernel:
     unless they outnumber COLUMN_BRANCH_RATIO times that petal's feature
     count; then it ANDs the petal's miss columns into the bucket's bitset.
 
-    keys[l] is member l's features among the complementary pairs, two
+    keys()[l] is member l's features among the complementary pairs, two
     features of which every member holds exactly one (for vectors, the two
     values of a column holding two).  Members of different keys have no
     completion: one holds f and the other g of some such pair, so both lie
@@ -161,9 +161,12 @@ class CompletionKernel:
         self.cols = {f: bitset(ls) for f, ls in holders.items()}
         self.full = (1 << len(self.rows)) - 1
         self.misses = {f: self.full ^ col for f, col in self.cols.items()}
+
+    def keys(self) -> list[int]:
+        """Each member's features among the complementary pairs (see the class)."""
         held = set(self.cols.values())
         split = bitset([f for f, miss in self.misses.items() if miss in held])
-        self.keys = [row & split for row in self.rows]
+        return [row & split for row in self.rows]
 
     def completions(self, i: int, j: int) -> int:
         """Members l other than i, j with (i, j, l) a 3-sunflower."""
@@ -314,15 +317,17 @@ def find_ap_triple(family: VectorFamily) -> tuple[int, int, int] | None:
 
     Members are distinct, so each pair (i, j) fixes the third term (2b - a)
     mod d per coordinate; its index is accepted only above j (with even
-    moduli it may be i).  thirds[c][a] is the table b -> (2b - a) mod d, so
-    row i maps every later member through its own tables, and looks the
-    whole row up, with map calls; the first hit in j is the lex-first triple.
+    moduli it may be i).  Row i's table for coordinate c maps each value b
+    present in column c to (2b - a) mod d, a being x_c, so its size is the
+    column's, not d: row i maps every later member through its own tables,
+    and looks the whole row up, with map calls; the first hit in j is the
+    lex-first triple.
     """
     members = family.members
-    thirds = [[tuple((2 * b - a) % d for b in range(d)) for a in range(d)] for d in family.moduli]
+    columns = [set(col) for col in zip(*members)]
     index = {m: l for l, m in enumerate(members)}.get
     for i, x in enumerate(members, 1):
-        tables = list(map(getitem, thirds, x))
+        tables = [{b: (2 * b - a) % d for b in col} for a, col, d in zip(x, columns, family.moduli)]
         terms = map(tuple, map(map, repeat(getitem), repeat(tables), members[i:]))
         found = list(map(index, terms, repeat(-1)))
         hits = list(map(gt, found, range(i, len(members))))

@@ -231,6 +231,8 @@ class _Engine:
         self.best: list[int] = []
         self.best_value = 0
         self.table: list[list[int | None] | None] = [None] * len(kernel.rows) if kernel else []
+        keys = kernel.keys() if kernel else []
+        self.keys = keys if len(set(keys)) > 1 else None  # None: one key, nothing to skip
 
     def _acc(self, points: Sequence[int]) -> int:
         acc = 0
@@ -247,16 +249,17 @@ class _Engine:
 
         A chosen a of another kernel key than p's has no completion with p
         (see CompletionKernel), so it is skipped and fills no slot; over Z2^n
-        every point is its own key and greedy fills none.
+        every point is its own key and greedy fills none.  With no
+        complementary pair every point has one key, and nothing is tested.
         """
         row = self.table[p]
         if row is None:
             row = self.table[p] = [None] * p
-        keys = self.kernel.keys
-        key = keys[p]
+        keys = self.keys
+        if keys is not None:
+            key = keys[p]
+            chosen = [a for a in chosen if keys[a] == key]
         for a in chosen:
-            if keys[a] != key:
-                continue
             keep = row[a]
             if keep is None:
                 keep = row[a] = ~self.kernel.completions(a, p)

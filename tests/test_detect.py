@@ -232,6 +232,13 @@ class TestApTriples:
         f = parse_vector_family("0\n1\n3\n", (5,))
         assert find_ap_triple(f) is None
 
+    def test_huge_modulus_needs_no_table_of_its_size(self):
+        # the third-term tables hold the values present, not all 10**9
+        d = 10**9
+        f = VectorFamily(ModulusVector((d, 3)), ((d - 1, 2), (0, 1), (5, 1), (1, 0)))
+        assert find_ap_triple(f) == (0, 1, 3)
+        assert find_ap_triple(VectorFamily(ModulusVector((d,)), ((0,), (7,), (3,)))) is None
+
     def test_is_ap_triple_modular_wraparound(self):
         # 3, 0, 2 is a progression with difference 2 mod 5.
         assert is_ap_triple((3,), (0,), (2,), ModulusVector((5,)))
@@ -423,10 +430,10 @@ def check_keys_split_completions(kernel, members, features, vectors):
     """Keys agree exactly on the complementary pairs; keys that differ close nothing."""
     pairs = brute_complementary_pairs(features)
     test = (lambda c: brute_is_sunflower_vectors(*c)) if vectors else brute_is_sunflower_sets
-    split = 0
+    keys, split = kernel.keys(), 0
     for i, j in itertools.combinations(range(len(members)), 2):
         agree = all((e in features[i]) == (e in features[j]) for e, _ in pairs)
-        assert (kernel.keys[i] == kernel.keys[j]) == agree
+        assert (keys[i] == keys[j]) == agree
         if not agree:
             split += 1
             assert kernel.completions(i, j) == 0
@@ -447,9 +454,10 @@ def test_property_members_of_different_keys_have_no_completion():
         splits.append(check_keys_split_completions(kernel, members, features, vectors=True))
         # a column holding two values is a complementary pair: it splits the keys
         two_valued = [len(set(col)) == 2 for col in zip(*members)]
+        keys = kernel.keys()
         for i, j in itertools.combinations(range(len(members)), 2):
             if any(a != b for a, b, c in zip(members[i], members[j], two_valued) if c):
-                assert kernel.keys[i] != kernel.keys[j]
+                assert keys[i] != keys[j]
 
     check()
     assert sum(splits) > 0  # the sample must hold pairs of different keys

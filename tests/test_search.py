@@ -1166,7 +1166,8 @@ class TestPairMasks:
         real = CompletionKernel.completions
 
         def completions(kernel, i, j):
-            pairs.append((kernel.keys[i], kernel.keys[j]))
+            keys = kernel.keys()
+            pairs.append((keys[i], keys[j]))
             return real(kernel, i, j)
 
         monkeypatch.setattr(CompletionKernel, "completions", completions)
