@@ -45,7 +45,7 @@ def _read_text(args) -> str:
     if args.infile is not None:
         try:
             return Path(args.infile).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.infile}: {exc}") from exc
     raise UsageError("provide --in FILE or --inline TEXT")
 

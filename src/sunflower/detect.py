@@ -16,8 +16,9 @@ agree on every column holding at most two values: the kernel keys each
 member by its features among such complementary pairs, and the exact
 search skips pairs of different keys when it narrows from scratch.  The
 kernel also yields every sunflower triple in lex order, by buckets of equal
-trace on each i (triples): the fast detectors and CNF export use that, and
-the exact search narrows through a lazy table of completions that it owns.
+trace on each i tested one member at a time (triples): the fast detectors
+and CNF export use that, and the exact search narrows through a lazy table
+of completions that it owns.
 
 Searches scan index combinations in lexicographic order, so the witness
 returned is always the lexicographically smallest one.  The definitional
@@ -40,18 +41,6 @@ from .model import SetFamily, SunflowerWitness, VectorFamily
 
 # Cap for t >= 4 scans: C(64, 4) is ~600k combinations, still desk scale.
 GENERAL_T_MEMBER_CAP = 64
-
-# CompletionKernel.triples tests a bucket member by member unless it holds
-# more than this many members per petal feature.  All triples, CPU-time
-# minima on CPython 3.11 (2-core x86 container), ratio 1 -> 8: Z3^5 32.3 ->
-# 21.3 ms, uniform (4,10) 26.6 -> 18.4, uniform (3,9) 4.2 -> 2.8, a
-# 144-member image in Z3^7 4.4 -> 3.8; 180- and 256-member images flat (7.6,
-# 8.8).  Ratios 16 and 32 read the same as 8; ratio 4 leaves uniform (4,10)
-# at 22.9 ms and (3,9) at 3.6.  The first triple of one 2,000-member bucket
-# with two-feature petals takes 2.9 ms by columns, about 130 ms member by
-# member.
-COLUMN_BRANCH_RATIO = 8
-
 
 def kernel_of(sets: Sequence[frozenset]) -> frozenset:
     if not sets:
@@ -141,9 +130,7 @@ class CompletionKernel:
     |A| + |B| big-int operations whatever the member count, and stops after
     the first features of A ^ B that leave no completion.  In triples,
     (i, j, l) is a sunflower iff j, l share a trace t on i and l misses
-    rows[j] ^ t: j tests the later members of its bucket one at a time,
-    unless they outnumber COLUMN_BRANCH_RATIO times that petal's feature
-    count; then it ANDs the petal's miss columns into the bucket's bitset.
+    rows[j] ^ t; j tests its bucket's later members one member at a time.
 
     keys()[l] is member l's features among the complementary pairs, two
     features of which every member holds exactly one (for vectors, the two
@@ -188,7 +175,7 @@ class CompletionKernel:
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
         """Every sunflower (i, j, l), i < j < l, in lex order."""
-        rows, misses = self.rows, self.misses
+        rows = self.rows
         for i, a in enumerate(rows):
             later: dict[int, list[int]] = {}  # per trace, descending
             for j in range(len(rows) - 1, i, -1):
@@ -197,7 +184,6 @@ class CompletionKernel:
                     later[t].append(j)
                 else:
                     later[t] = [j]
-            bits: dict[int, int] = {}  # per trace, made on first use
             for j in range(i + 1, len(rows)):
                 t = rows[j] & a
                 bucket = later[t]
@@ -205,21 +191,9 @@ class CompletionKernel:
                 if not bucket:
                     continue
                 petal = rows[j] ^ t
-                if len(bucket) <= COLUMN_BRANCH_RATIO * petal.bit_count():
-                    for l in reversed(bucket):
-                        if not rows[l] & petal:
-                            yield i, j, l
-                    continue
-                above = bits[t] = bits.get(t) or bitset(bucket)
-                while petal:
-                    low = petal & -petal
-                    above &= misses[low.bit_length() - 1]
-                    petal ^= low
-                above >>= j + 1
-                while above:
-                    low = above & -above
-                    yield i, j, j + low.bit_length()
-                    above ^= low
+                for l in reversed(bucket):
+                    if not rows[l] & petal:
+                        yield i, j, l
 
 
 def witness_holds(family: SetFamily, witness: SunflowerWitness) -> bool:

@@ -456,9 +456,14 @@ class TestCliContract:
         )
         assert code == 2
 
-    def test_missing_file_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "detect", "sets", "--in", "/no/such/file")
+    @pytest.mark.parametrize("content", [None, b"1 2\n\xff 3\n"], ids=["missing", "not-utf-8"])
+    def test_missing_file_is_usage_error(self, capsys, tmp_path, content):
+        path = tmp_path / "family.txt"
+        if content is not None:
+            path.write_bytes(content)
+        code, _, err = run(capsys, "detect", "sets", "--in", str(path))
         assert code == 2
+        assert f"error: cannot read {path}: " in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -46,7 +46,6 @@ from sunflower import (
 from sunflower import detect
 from sunflower.detect import (
     CompletionKernel,
-    bitset,
     find_sunflower_vectors_lookup,
     vector_features,
 )
@@ -536,28 +535,24 @@ def test_property_vector_triples_match_brute_enumeration(data):
     assert list(kernel.triples()) == brute_sunflower_triples(members, vectors=True)
 
 
-def test_triples_take_the_column_branch_on_a_large_bucket(monkeypatch):
-    # Every member after {0} has trace {} on it: one bucket, whose 14 members
-    # after {1} outnumber COLUMN_BRANCH_RATIO times its one-feature petal, so
-    # its bits are made there; members meeting a petal drop out by column.
-    members = [frozenset({0})] + [frozenset({e}) for e in range(1, 13)]
-    members += [frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6, 13})]
-    kernel = CompletionKernel(members)
-    made = []
-    monkeypatch.setattr(detect, "bitset", lambda items: made.append(len(items)) or bitset(items))
-    assert list(kernel.triples()) == brute_sunflower_triples(members)
-    assert made[:1] == [14]
-
-
-def test_triples_test_small_buckets_member_by_member(monkeypatch):
-    # Over Z3^3, the bucket of a k-feature petal holds at most 2^k - 1 later
-    # members, under three per feature, so no bucket bitset is made.
-    points = list(itertools.product(range(3), repeat=3))
-    kernel = CompletionKernel(vector_features((3, 3, 3), points))
-    made = []
-    monkeypatch.setattr(detect, "bitset", lambda items: made.append(len(items)) or bitset(items))
-    assert list(kernel.triples()) == brute_sunflower_triples(points, vectors=True)
-    assert made == []
+@pytest.mark.parametrize(
+    "members, vectors",
+    [
+        # every member after {0} has trace {} on it: one bucket of 14 after {1}
+        (
+            [frozenset({e}) for e in range(13)]
+            + [frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6, 13})],
+            False,
+        ),
+        (list(itertools.product(range(3), repeat=3)), True),
+        ([frozenset(c) for c in itertools.combinations(range(12), 2)], False),
+        ([frozenset({0, 1})] + [frozenset({0, 2, p}) for p in range(3, 43)], False),
+    ],
+    ids=["one-large-bucket", "Z3^3", "two-subsets-of-12", "star-behind-a-pair"],
+)
+def test_triples_match_brute_force(members, vectors):
+    kernel = CompletionKernel(vector_features((3, 3, 3), members) if vectors else members)
+    assert list(kernel.triples()) == brute_sunflower_triples(members, vectors=vectors)
 
 
 @given(st.data())
