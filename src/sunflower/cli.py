@@ -1,5 +1,9 @@
 """Command line interface: detect | bounds | reduce | search | conjecture | cnf.
 
+Each command handler returns its output: a JSON-able payload, or raw text for
+`bounds --format table` and `cnf export` without `--out`.  `main` alone writes
+stdout (argparse's help and usage text aside).
+
 Exit codes: 0 success, 1 domain errors (a sunflower found where freeness was
 required, violated preconditions, oversize instances), 2 usage errors.  All
 machine-readable output is JSON with sorted keys and no incidental noise:
@@ -80,43 +84,33 @@ def _parse_range(text: str) -> list[int]:
         raise UsageError(f"bad range {text!r}") from exc
 
 
-def _emit(payload: dict | list) -> None:
-    sys.stdout.write(dump_json(payload))
-
-
 # ---------------------------------------------------------------- detect
 
 
-def _cmd_detect_sets(args) -> int:
+def _cmd_detect_sets(args) -> dict:
     family = parse_set_family(_read_text(args), allow_empty=args.allow_empty)
     if args.t == 3:
         witness, detector = sf.find_sunflower_sets_fast(family), "fast"
     else:
         witness, detector = sf.find_sunflower_sets(family, args.t), "naive"
-    _emit(
-        {
-            "found": witness is not None,
-            "t": args.t,
-            "detector": detector,
-            "witness": None if witness is None else witness.to_json_dict(family),
-        }
-    )
-    return 0
+    return {
+        "found": witness is not None,
+        "t": args.t,
+        "detector": detector,
+        "witness": None if witness is None else witness.to_json_dict(family),
+    }
 
 
-def _cmd_detect_vectors(args) -> int:
+def _cmd_detect_vectors(args) -> dict:
     family = parse_vector_family(_read_text(args), _parse_moduli(args.moduli))
     witness = sf.find_sunflower_vectors(family)
-    _emit(
-        {
-            "found": witness is not None,
-            "witness": None if witness is None else witness.to_json_dict(),
-        }
-    )
-    return 0
+    return {
+        "found": witness is not None,
+        "witness": None if witness is None else witness.to_json_dict(),
+    }
 
 
-def _cmd_detect_ap(args) -> int:
+def _cmd_detect_ap(args) -> dict:
     family = parse_vector_family(_read_text(args), _parse_moduli(args.moduli))
     triple = sf.find_ap_triple(family)
     payload: dict = {"found": triple is not None, "witness": None}
@@ -128,16 +122,14 @@ def _cmd_detect_ap(args) -> int:
             "vectors": [list(v) for v in vecs],
             "is_sunflower": sf.is_sunflower_vectors(*vecs),
         }
-    _emit(payload)
-    return 0
+    return payload
 
 
 # ---------------------------------------------------------------- bounds
 
 
 def _bounds_table(reports) -> str:
-    headers = ("name", "value", "exactness", "radius", "flags")
-    rows = []
+    rows = [("name", "value", "exactness", "radius", "flags")]
     for r in reports:
         d = r.to_json_dict()
         value = d["value"]
@@ -150,44 +142,32 @@ def _bounds_table(reports) -> str:
                 ",".join(d.get("flags", ())) or "-",
             )
         )
-    widths = [
-        max(len(headers[c]), max((len(row[c]) for row in rows), default=0))
-        for c in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(widths[c]) for c, h in enumerate(headers)).rstrip(),
-        "  ".join("-" * widths[c] for c in range(len(headers))),
-    ]
-    for row in rows:
-        lines.append("  ".join(row[c].ljust(widths[c]) for c in range(len(row))).rstrip())
-    return "\n".join(lines) + "\n"
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    rows.insert(1, ["-" * w for w in widths])
+    return "\n".join("  ".join(map(str.ljust, row, widths)).rstrip() for row in rows) + "\n"
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> list | str:
     moduli = _parse_moduli(args.moduli) if args.moduli else None
     reports = sf.compare_bounds(moduli=moduli, k=args.k, M=args.big_m)
     if args.format == "table":
-        sys.stdout.write(_bounds_table(reports))
-    else:
-        _emit([r.to_json_dict() for r in reports])
-    return 0
+        return _bounds_table(reports)
+    return [r.to_json_dict() for r in reports]
 
 
-def _cmd_bounds_j(args) -> int:
-    _emit(sf.j_constant(args.q).to_json_dict())
-    return 0
+def _cmd_bounds_j(args) -> dict:
+    return sf.j_constant(args.q).to_json_dict()
 
 
 # ---------------------------------------------------------------- reduce
 
 
-def _cmd_reduce_pipeline(args) -> int:
+def _cmd_reduce_pipeline(args) -> dict:
     if args.seed is None and args.rounds is not None:
         raise UsageError("--rounds needs --seed")
     family = parse_set_family(_read_text(args))
     rounds = {} if args.rounds is None else {"rounds": args.rounds}
-    _emit(sf.pipeline(family, seed=args.seed, **rounds).to_json_dict())
-    return 0
+    return sf.pipeline(family, seed=args.seed, **rounds).to_json_dict()
 
 
 # ---------------------------------------------------------------- search
@@ -217,16 +197,14 @@ def _cnf_parser(subs, name: str, help_text: str, handler) -> argparse.ArgumentPa
     return p
 
 
-def _cmd_search_vectors(args) -> int:
+def _cmd_search_vectors(args) -> dict:
     result = sf.max_sunflower_free_vectors(_parse_moduli(args.moduli), **_budgets(args))
-    _emit(result.to_json_dict())
-    return 0
+    return result.to_json_dict()
 
 
-def _cmd_search_uniform(args) -> int:
+def _cmd_search_uniform(args) -> dict:
     result = sf.max_sunflower_free_uniform(args.k, args.m, **_budgets(args))
-    _emit(result.to_json_dict())
-    return 0
+    return result.to_json_dict()
 
 
 def _cnf_instance(args) -> sf.search.Instance:
@@ -237,50 +215,42 @@ def _cnf_instance(args) -> sf.search.Instance:
     if has_moduli:
         return sf.VectorInstance(sf.as_modulus_vector(_parse_moduli(args.moduli)))
     if args.k is None or args.m is None:
-        raise UsageError("uniform instances need both --k and --m")
+        raise UsageError("give --moduli or both --k and --m")
     return sf.UniformInstance(args.k, args.m)
 
 
-def _cmd_cnf_export(args) -> int:
+def _cmd_cnf_export(args) -> dict | str:
     cnf = sf.export_cnf(_cnf_instance(args), args.size)
     text = cnf.to_dimacs()
-    if args.out:
-        _write_text(args.out, text)
-        _emit(
-            {
-                "written": args.out,
-                "num_vars": cnf.num_vars,
-                "num_clauses": len(cnf.clauses),
-                "size": args.size,
-            }
-        )
-    else:
-        sys.stdout.write(text)
-    return 0
+    if not args.out:
+        return text
+    _write_text(args.out, text)
+    return {
+        "written": args.out,
+        "num_vars": cnf.num_vars,
+        "num_clauses": len(cnf.clauses),
+        "size": args.size,
+    }
 
 
-def _cmd_cnf_check(args) -> int:
+def _cmd_cnf_check(args) -> dict:
     cnf = sf.export_cnf(_cnf_instance(args), args.size)
-    _emit(
-        {
-            "satisfiable": sf.cnf_satisfiable(cnf),
-            "num_vars": cnf.num_vars,
-            "num_clauses": len(cnf.clauses),
-            "size": args.size,
-        }
-    )
-    return 0
+    return {
+        "satisfiable": sf.cnf_satisfiable(cnf),
+        "num_vars": cnf.num_vars,
+        "num_clauses": len(cnf.clauses),
+        "size": args.size,
+    }
 
 
 # ---------------------------------------------------------------- conjecture
 
 
-def _cmd_conjecture_scan(args) -> int:
+def _cmd_conjecture_scan(args) -> list:
     reports = sf.conjecture_scan(_parse_range(args.k), _parse_range(args.m), **_budgets(args))
     if args.csv:
         _write_text(args.csv, sf.scan_to_csv(reports))
-    _emit([r.to_json_dict() for r in reports])
-    return 0
+    return [r.to_json_dict() for r in reports]
 
 
 # ---------------------------------------------------------------- parser
@@ -378,22 +348,16 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", None) is not None and args.threads < 1:
             raise UsageError("thread count must be at least 1")  # the library ignores it
-        return args.handler(args)
+        out, code = args.handler(args), 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InputHasSunflower as exc:
-        _emit(
-            {
-                "error": "InputHasSunflower",
-                "message": str(exc),
-                "witness": exc.witness.to_json_dict(exc.family),
-            }
-        )
-        return 1
     except SunflowerError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        return 1
+        out, code = {"error": type(exc).__name__, "message": str(exc)}, 1
+        if isinstance(exc, InputHasSunflower):
+            out["witness"] = exc.witness.to_json_dict(exc.family)
+    sys.stdout.write(out if isinstance(out, str) else dump_json(out))
+    return code
 
 
 def entry() -> None:

@@ -464,7 +464,7 @@ def parse_set_family(text: str, allow_empty: bool = False) -> SetFamily:
         if not tokens:
             if had_comment:
                 continue
-            if raw.strip() == "" and not allow_empty:
+            if not allow_empty:
                 raise EmptySet(f"line {lineno}: empty member")
             # blank line accepted as the empty set
             raw_members.append((lineno, ()))

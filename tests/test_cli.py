@@ -388,6 +388,12 @@ class TestCnfCommands:
         code, _, err = run(capsys, "cnf", "export", "--k", "2", "--size", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["export", "check"])
+    def test_no_instance_flags_names_both_forms(self, capsys, command):
+        code, out, err = run(capsys, "cnf", command, "--size", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: give --moduli or both --k and --m\n"
+
 
 class TestConjectureCommand:
     def test_scan_json(self, capsys):

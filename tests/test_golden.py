@@ -53,6 +53,11 @@ CASES = [  # (name, argv, exit code)
     ("bounds-moduli-333", ["bounds", "--moduli", "3,3,3"], 0),
     ("bounds-k16-M40", ["bounds", "--k", "16", "--M", "40"], 0),
     ("bounds-j-q5", ["bounds", "j", "--q", "5"], 0),
+    ("bounds-k16-M40-table", ["bounds", "--k", "16", "--M", "40", "--format", "table"], 0),
+    ("detect-sets-t4",
+     ["detect", "sets", "--t", "4", "--inline", "1 2 3;1 4;2 4;3 5;1 5 6;2 6;4 5 6;3 4 6"], 0),
+    ("detect-ap-free", ["detect", "ap", "--moduli", "3", "--inline", "0;1"], 0),
+    ("search-vectors-domain-error", ["search", "vectors", "--moduli", "3,1"], 1),
 ]
 
 HELP_PATHS = [  # every parser: the root, 5 groups and 11 commands

@@ -57,6 +57,12 @@ class TestParseSetFamily:
         with pytest.raises(EmptySet):
             parse_set_family("1 2\n\n3 4\n")
 
+    def test_whitespace_only_line_is_a_blank_line(self):
+        with pytest.raises(EmptySet, match="line 2"):
+            parse_set_family("1 2\n \t\n3 4\n")
+        fam = parse_set_family("1 2\n \t\n3 4\n", allow_empty=True)
+        assert fam.members[1] == frozenset()
+
     def test_duplicate_member_reports_both_lines(self):
         with pytest.raises(DuplicateMember) as exc:
             parse_set_family("1 2\n3\n2 1\n")
