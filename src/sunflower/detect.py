@@ -13,25 +13,29 @@ and stops once nothing is left: a coordinate whose column holds only the
 pair's two values leaves no third one, which is why every family over D = 2
 is sunflower-free.  For the same reason the three members of a sunflower
 agree on every column holding at most two values: the kernel keys each
-member by its features among such complementary pairs, and the exact
-search skips pairs of different keys when it narrows from scratch.  The
-kernel also yields every sunflower triple in lex order, by buckets of equal
-trace on each i tested one member at a time (triples): the fast detectors
-and CNF export use that, and the exact search narrows through a lazy table
-of completions that it owns.
+member by its features among such complementary pairs, and the members of
+one key form a class.  The exact search skips pairs of different keys when
+it narrows from scratch.  The kernel yields every sunflower triple in lex
+order, pairing each i only with the later members of its class, by buckets
+of equal trace on i tested one member at a time (triples): the fast
+detectors and CNF export use that, and the exact search narrows through a
+lazy table of completions that it owns.
 
 Searches scan index combinations in lexicographic order, so the witness
 returned is always the lexicographically smallest one.  The definitional
 scans, find_sunflower_sets (pairwise ANDs of member bitsets it builds itself)
 and the pair-lookup find_sunflower_vectors_lookup (pairs within one class of
 equal values on the columns holding at most two), use no CompletionKernel;
-they are the path that verifies search answers.  find_ap_triple maps each
-row's later members through per-row tables of third terms.
+they are the path that verifies search answers.  find_ap_triple pairs each
+row only with the later members of its class of equal values on the columns
+holding at most two under an odd modulus, and maps them through per-row
+tables of third terms.  Both detection scans and the lookup take their
+classes from one partition (_places).
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator, Sequence
+from collections.abc import Collection, Hashable, Iterable, Iterator, Sequence
 from itertools import accumulate, combinations, compress, islice, product, repeat
 from math import prod
 from operator import getitem, gt
@@ -122,6 +126,17 @@ def vector_features(moduli: Sequence[int], vectors) -> list[tuple[int, ...]]:
     return [tuple(col[v] for col, v in zip(ids, vec)) for vec in vectors]
 
 
+def _places(keys: Iterable[Hashable]) -> list[tuple[list[int], int]]:
+    """Member l's class, the members of its key ascending, and l's place in it."""
+    classes: dict[Hashable, list[int]] = {}
+    places = []
+    for l, key in enumerate(keys):
+        cls = classes.setdefault(key, [])
+        places.append((cls, len(cls)))
+        cls.append(l)
+    return places
+
+
 class CompletionKernel:
     """Pair completions over a member list; bit l stands for member l.
 
@@ -130,13 +145,16 @@ class CompletionKernel:
     |A| + |B| big-int operations whatever the member count, and stops after
     the first features of A ^ B that leave no completion.  In triples,
     (i, j, l) is a sunflower iff j, l share a trace t on i and l misses
-    rows[j] ^ t; j tests its bucket's later members one member at a time.
+    rows[j] ^ t; i is paired only with the later members of its key's class
+    (below), and j tests its bucket's later members one member at a time.
 
     keys()[l] is member l's features among the complementary pairs, two
     features of which every member holds exactly one (for vectors, the two
     values of a column holding two).  Members of different keys have no
     completion: one holds f and the other g of some such pair, so both lie
-    in A ^ B, and every third member holds one of them.
+    in A ^ B, and every third member holds one of them.  So the members of
+    one key form a class, and both triples and the exact search pair only
+    within a class.
     """
 
     def __init__(self, members: Sequence[Collection[int]]):
@@ -174,17 +192,18 @@ class CompletionKernel:
         return keep
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
-        """Every sunflower (i, j, l), i < j < l, in lex order."""
+        """Every sunflower (i, j, l), i < j < l, in lex order, each within one key."""
         rows = self.rows
-        for i, a in enumerate(rows):
+        for i, (a, (cls, place)) in enumerate(zip(rows, _places(self.keys()))):
+            above = cls[place + 1 :]
             later: dict[int, list[int]] = {}  # per trace, descending
-            for j in range(len(rows) - 1, i, -1):
+            for j in reversed(above):
                 t = rows[j] & a
                 if t in later:
                     later[t].append(j)
                 else:
                     later[t] = [j]
-            for j in range(i + 1, len(rows)):
+            for j in above:
                 t = rows[j] & a
                 bucket = later[t]
                 bucket.pop()  # j itself
@@ -257,12 +276,7 @@ def find_sunflower_vectors_lookup(family: VectorFamily) -> SunflowerWitness | No
     index = {m: l for l, m in enumerate(members)}
     columns = [set(col) for col in zip(*members)]
     split = [len(col) <= 2 for col in columns]
-    classes: dict[tuple[int, ...], list[int]] = {}
-    places = []  # member l's class, ascending, and l's place in it
-    for l, m in enumerate(members):
-        cls = classes.setdefault(tuple(compress(m, split)), [])
-        places.append((cls, len(cls)))
-        cls.append(l)
+    places = _places(tuple(compress(m, split)) for m in members)
     for i, (x, (cls, place)) in enumerate(zip(members, places)):
         later = cls[place + 1 :]
         for r, j in enumerate(later, 1):
@@ -289,23 +303,35 @@ def is_ap_triple(x: Sequence[int], y: Sequence[int], z: Sequence[int], moduli) -
 def find_ap_triple(family: VectorFamily) -> tuple[int, int, int] | None:
     """First index triple (i, j, l), i < j < l, with m_i + m_l = 2 m_j coordinatewise.
 
+    The three terms agree on every column holding at most two values under
+    an odd modulus d.  Where x_c = z_c, 2 y_c = 2 x_c and 2 is invertible
+    mod d, so y_c = x_c; where x_c != z_c they are the column's two values
+    u, v, and 2 y_c = u + v with y_c one of them forces u = v.  So row i is
+    paired only with the later members of its class of equal values on
+    those columns.  An even modulus gives no such split: in Z4^2, (0,0),
+    (2,1), (0,2) is an AP across the two values of the first column.
+
     Members are distinct, so each pair (i, j) fixes the third term (2b - a)
     mod d per coordinate; its index is accepted only above j (with even
     moduli it may be i).  Row i's table for coordinate c maps each value b
     present in column c to (2b - a) mod d, a being x_c, so its size is the
-    column's, not d: row i maps every later member through its own tables,
-    and looks the whole row up, with map calls; the first hit in j is the
-    lex-first triple.
+    column's, not d: row i maps the later members of its class through its
+    own tables, and looks them all up, with map calls; the first hit in j is
+    the lex-first triple.
     """
     members = family.members
     columns = [set(col) for col in zip(*members)]
+    split = [len(col) <= 2 and d % 2 for col, d in zip(columns, family.moduli)]
+    places = _places(tuple(compress(m, split)) for m in members)
     index = {m: l for l, m in enumerate(members)}.get
-    for i, x in enumerate(members, 1):
+    for i, (x, (cls, place)) in enumerate(zip(members, places)):
+        above = cls[place + 1 :]
         tables = [{b: (2 * b - a) % d for b in col} for a, col, d in zip(x, columns, family.moduli)]
-        terms = map(tuple, map(map, repeat(getitem), repeat(tables), members[i:]))
+        later = map(getitem, repeat(members), above)
+        terms = map(tuple, map(map, repeat(getitem), repeat(tables), later))
         found = list(map(index, terms, repeat(-1)))
-        hits = list(map(gt, found, range(i, len(members))))
+        hits = list(map(gt, found, above))
         if True in hits:
             k = hits.index(True)
-            return (i - 1, i + k, found[k])
+            return (i, above[k], found[k])
     return None

@@ -238,6 +238,21 @@ class TestApTriples:
         assert find_ap_triple(f) == (0, 1, 3)
         assert find_ap_triple(VectorFamily(ModulusVector((d,)), ((0,), (7,), (3,)))) is None
 
+    @pytest.mark.parametrize(
+        "moduli", [(4, 4), (6, 3)], ids=["Z4^2", "two-valued-mod-6"]
+    )
+    def test_progression_mixes_a_two_valued_column_of_even_modulus(self, moduli):
+        # column 0 holds 0 and d/2, and 0 + 0 = 2 (d/2) mod d: no split there
+        h = moduli[0] // 2
+        members = ((0, 0), (h, 1), (0, 2))
+        assert find_ap_triple(VectorFamily(ModulusVector(moduli), members)) == (0, 1, 2)
+
+    def test_two_valued_column_of_odd_modulus_splits_the_scan(self):
+        # column 0 holds {0, 3} mod 5; the progression keeps to one of them
+        members = ((0, 0), (3, 0), (0, 1), (3, 1), (3, 2), (0, 3))
+        f = VectorFamily(ModulusVector((5, 4)), members)
+        assert find_ap_triple(f) == brute_find_ap_triple(members, (5, 4)) == (1, 3, 4)
+
     def test_is_ap_triple_modular_wraparound(self):
         # 3, 0, 2 is a progression with difference 2 mod 5.
         assert is_ap_triple((3,), (0,), (2,), ModulusVector((5,)))
@@ -410,8 +425,13 @@ def test_property_vector_completions_match_definitional():
     assert any(settled_empty)
 
 
-def two_valued_vectors(data, max_size):
-    """Moduli over 2, some columns limited to two of their values, e.g. {0, 3} mod 5."""
+def two_valued_vectors(data, max_size, plant=False):
+    """Moduli over 2, some columns limited to two of their values, e.g. {0, 3} mod 5.
+
+    With plant, a sunflower inside one class is inserted at drawn places: it
+    keeps one value on each limited column and is all-equal or all-distinct
+    on the others, at least one of them all-distinct.
+    """
     n = data.draw(st.integers(1, 4), label="n")
     moduli = tuple(data.draw(st.sampled_from((3, 4, 5, 7))) for _ in range(n))
     values = [
@@ -422,6 +442,17 @@ def two_valued_vectors(data, max_size):
         st.lists(st.tuples(*(st.sampled_from(v) for v in values)), max_size=max_size, unique=True),
         label="members",
     )
+    free = [c for c, v in enumerate(values) if len(v) > 2]
+    if plant and free:
+        distinct = set(data.draw(st.sets(st.sampled_from(free), min_size=1), label="distinct"))
+        columns = [
+            data.draw(st.permutations(v))[:3] if c in distinct
+            else [data.draw(st.sampled_from(v))] * 3
+            for c, v in enumerate(values)
+        ]
+        for z in zip(*columns):
+            if z not in members:
+                members.insert(data.draw(st.integers(0, len(members))), z)
     return moduli, members
 
 
@@ -462,26 +493,35 @@ def test_property_members_of_different_keys_have_no_completion():
     assert sum(splits) > 0  # the sample must hold pairs of different keys
 
 
+# each member holds exactly one of 0, 1 and exactly one of 2, 3: up to four keys
+COMPLEMENTARY_SET_LISTS = st.lists(
+    st.tuples(st.sampled_from((0, 1)), st.sampled_from((2, 3)),
+              st.frozensets(st.integers(4, 8), max_size=3)).map(
+        lambda t: frozenset({t[0], t[1]}) | t[2]),
+    max_size=12,
+    unique=True,
+)
+
+
 def test_property_set_members_of_different_keys_have_no_completion():
     splits = []
 
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from((0, 1)), st.sampled_from((2, 3)),
-                      st.frozensets(st.integers(4, 8), max_size=3)).map(
-                lambda t: frozenset({t[0], t[1]}) | t[2]),
-            max_size=12,
-            unique=True,
-        )
-    )
+    @given(COMPLEMENTARY_SET_LISTS)
     @settings(max_examples=100, deadline=None)
     def check(members):
-        # each member holds exactly one of 0, 1 and exactly one of 2, 3
         kernel = CompletionKernel(members)
         splits.append(check_keys_split_completions(kernel, members, members, vectors=False))
 
     check()
     assert sum(splits) > 0  # the sample must hold pairs of different keys
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_property_triples_match_brute_force_within_classes(data):
+    moduli, members = two_valued_vectors(data, 12, plant=data.draw(st.booleans()))
+    kernel = CompletionKernel(vector_features(moduli, members))
+    assert list(kernel.triples()) == brute_sunflower_triples(members, vectors=True)
 
 
 @given(st.data())
@@ -510,11 +550,13 @@ SET_MEMBER_LISTS = st.one_of(
             }
         )
     ),
+    # complementary pairs split the members into classes
+    COMPLEMENTARY_SET_LISTS,
 )
 
 
 @given(SET_MEMBER_LISTS)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_property_triples_match_brute_enumeration(members):
     assert list(CompletionKernel(members).triples()) == brute_sunflower_triples(members)
 
@@ -547,8 +589,19 @@ def test_property_vector_triples_match_brute_enumeration(data):
         (list(itertools.product(range(3), repeat=3)), True),
         ([frozenset(c) for c in itertools.combinations(range(12), 2)], False),
         ([frozenset({0, 1})] + [frozenset({0, 2, p}) for p in range(3, 43)], False),
+        # column 2 holds {0, 1}: the only sunflower is in the second class
+        ([(0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1), (2, 2, 1), (2, 1, 0)], True),
+        # every column holds two values: each member is its own class
+        (list(itertools.product(range(2), repeat=3)), True),
+        # complementary pairs (0, 1) and (2, 3): the sunflower is in the class {0, 3}
+        (
+            [frozenset(m) for m in ({0, 2, 4}, {1, 2, 5}, {0, 3, 6}, {1, 3}, {0, 3, 7},
+                                    {0, 3, 8}, {1, 2, 6})],
+            False,
+        ),
     ],
-    ids=["one-large-bucket", "Z3^3", "two-subsets-of-12", "star-behind-a-pair"],
+    ids=["one-large-bucket", "Z3^3", "two-subsets-of-12", "star-behind-a-pair",
+         "planted-in-second-class", "singleton-classes", "complementary-set-pairs"],
 )
 def test_triples_match_brute_force(members, vectors):
     kernel = CompletionKernel(vector_features((3, 3, 3), members) if vectors else members)

@@ -42,6 +42,8 @@ CASES = [  # (name, argv, exit code)
      ["detect", "sets", "--inline", "1 2 3;1 4;2 4;3 5;1 5 6;2 6;4 5 6;3 4 6"], 0),
     ("detect-vectors-found", ["detect", "vectors", "--moduli", "3,3,4", "--inline",
                               "0,0,0;0,1,1;1,0,2;1,1,3;2,2,1;0,2,3;2,1,0;1,2,2"], 0),
+    ("detect-vectors-two-valued", ["detect", "vectors", "--moduli", "3,3,5", "--inline",
+                                   "0,0,3;0,0,0;1,2,3;1,1,0;2,2,3;2,2,0"], 0),
     ("detect-vectors-free",
      ["detect", "vectors", "--moduli", "3,3", "--inline", "0,0;0,1;1,0;1,1"], 0),
     ("detect-ap", ["detect", "ap", "--moduli", "3,5", "--inline", "0,0;1,2;2,4;0,3"], 0),

@@ -21,6 +21,7 @@ from oracles import (
     brute_max_free_descent,
     brute_orbit_minima,
     brute_set_symmetries,
+    brute_sunflower_triples,
     brute_vector_symmetries,
     plain_dimacs,
 )
@@ -751,6 +752,19 @@ class TestCnfExport:
     def test_point_ceiling(self):
         with pytest.raises(TooLarge):
             export_cnf(VectorInstance(as_modulus_vector((9, 9, 9, 9))), 2)
+
+    @pytest.mark.parametrize("moduli, size", [((2, 3, 3), 6), ((2, 2, 3), 5)],
+                             ids=["2-3-3", "2-2-3"])
+    def test_split_kernels_export_the_brute_force_triples(self, moduli, size):
+        # each column of modulus 2 splits the kernel's keys into classes
+        inst = VectorInstance(as_modulus_vector(moduli))
+        pts = inst.points()
+        assert len(set(CompletionKernel(inst.features(pts)).keys())) > 1
+        triples = brute_sunflower_triples(pts, vectors=True)
+        cnf = export_cnf(inst, size)
+        assert cnf.clauses[: len(triples)] == tuple((-i - 1, -j - 1, -l - 1) for i, j, l in triples)
+        assert f"sunflower triple clauses: {len(triples)}" in cnf.comments
+        assert cnf.to_dimacs() == plain_dimacs(cnf.num_vars, cnf.clauses, cnf.comments)
 
     def test_counter_encodes_at_least_s(self):
         # No triple constraints bind in Z_2^2 (no sunflowers), so
