@@ -140,22 +140,31 @@ class JMinimizationResult:
         }
 
 
-_J_ABS_TOL = 1e-12  # bisection stop: bracket width in s, absolute
+_J_ABS_TOL = 1e-12  # bracket stop: width in s, absolute
 _J_REL_TOL = 1e-6  # and relative to s* (about 2.15 / q)
 
 
 def j_constant(q: int) -> JMinimizationResult:
-    """Minimize the J objective by bisection on the sign of its slope.
+    """Minimize the J objective by safeguarded Newton steps on its slope.
 
     With x = exp(-s) the log objective is
     phi(s) = log(-expm1(-q s)) - log(-expm1(-s)) + (q-1) s / 3, which is
     log(sum_{i<q} e^{-i s}) + (q-1) s / 3 and so strictly convex.  Its slope
-    phi'(s) = q / expm1(q s) - 1 / expm1(s) + (q-1)/3 is negative at s = 1/q
-    and positive at s = 3/q, so bisection keeps the root bracketed until the
-    bracket is at most _J_ABS_TOL (the x bracket is no wider than the s
-    bracket) and at most _J_REL_TOL of s.  A wider bracket holds many
-    doubles, since s <= 1.5, so each midpoint lies strictly inside.  By
-    convexity phi(s) - min phi <= |phi'(s)| |s - s_root|, and the radius is
+    phi'(s) = q / E - 1 / e + (q-1)/3, with e = expm1(s) and E = expm1(q s),
+    is negative at s = 1/q and positive at s = 3/q, and its derivative is
+    phi''(s) = (e+1)/e^2 - q^2 (E+1)/E^2 > 0.  Newton steps start at
+    s = 2.149/q, the root for large q, and the sign of every slope they
+    evaluate moves one end of the bracket [lo, hi], so the bracket always
+    holds the root; a Newton point outside (lo, hi) is replaced by the
+    midpoint.  Newton points close in on the root from one side, so once a
+    step is below a quarter of the stop width the next point is set that
+    quarter beyond the Newton point, just across the root, and the bracket
+    closes from both sides.  The loop stops when the bracket is at most
+    _J_ABS_TOL (the x bracket is no wider than the s bracket) and at most
+    _J_REL_TOL of s, which takes 2 to 6 slope evaluations.  A wider bracket
+    holds many doubles, since s <= 1.5, so each midpoint lies strictly
+    inside.  The result is taken at the bracket's midpoint s.  By convexity
+    phi(s) - min phi <= |phi'(s)| |s - s_root|, and the radius is
     J (|phi'(s)| (hi - lo) + 64 eps magnitude), the last term being the
     rounding budget of the evaluation.  q is capped at 2^53, the last q that
     is exact as a double.
@@ -165,16 +174,30 @@ def j_constant(q: int) -> JMinimizationResult:
     if q > 2**53:
         raise DomainError("q above 2^53 is not exact as a double")
 
-    def slope(s: float) -> float:
-        return q / math.expm1(q * s) - 1.0 / math.expm1(s) + (q - 1) / 3.0
+    def slope(s: float) -> tuple[float, float]:
+        e, big = math.expm1(s), math.expm1(q * s)
+        return (
+            q / big - 1.0 / e + (q - 1) / 3.0,
+            (e + 1.0) / (e * e) - q * q * (big + 1.0) / (big * big),
+        )
 
     lo, hi = 1.0 / q, 3.0 / q
-    while hi - lo > _J_ABS_TOL or hi - lo > lo * _J_REL_TOL:
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < 0.0:
-            lo = mid
+    s = 2.149 / q
+    while True:
+        d, curvature = slope(s)
+        if d < 0.0:
+            lo = s
         else:
-            hi = mid
+            hi = s
+        width = min(_J_ABS_TOL, lo * _J_REL_TOL)
+        if hi - lo <= width:
+            break
+        step = d / curvature
+        s -= step
+        if abs(step) < 0.25 * width:
+            s += 0.25 * width if d < 0.0 else -0.25 * width
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
 
     s = 0.5 * (lo + hi)
     terms = (
@@ -182,7 +205,7 @@ def j_constant(q: int) -> JMinimizationResult:
     )
     j_value = math.exp(math.fsum(terms))
     magnitude = math.fsum(abs(t) for t in terms) + 1.0
-    radius = j_value * (abs(slope(s)) * (hi - lo) + 64.0 * _EPS * magnitude)
+    radius = j_value * (abs(slope(s)[0]) * (hi - lo) + 64.0 * _EPS * magnitude)
     return JMinimizationResult(q=q, x_star=math.exp(-s), j_value=j_value, error_radius=radius)
 
 

@@ -22,6 +22,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
+from operator import contains
 
 from .errors import (
     ArityMismatch,
@@ -31,6 +32,17 @@ from .errors import (
     EmptySet,
     OutOfRange,
 )
+
+
+def _first_outside(vec: tuple[int, ...], ranges: tuple[range, ...]) -> tuple[int, int] | None:
+    """The first coordinate c of ``vec`` outside its range(d), as (c, d), or None.
+
+    The check runs as C-level calls; only a vector that fails it is walked
+    in Python.
+    """
+    if all(map(contains, ranges, vec)):
+        return None
+    return next((c, r.stop) for c, r in zip(vec, ranges) if c not in r)
 
 
 def _check_distinct(items: Sequence, what: str, exc=DuplicateMember) -> None:
@@ -246,17 +258,16 @@ class VectorFamily:
     members: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "moduli", as_modulus_vector(self.moduli))
-        object.__setattr__(
-            self, "members", tuple(tuple(int(c) for c in v) for v in self.members)
-        )
-        n = self.moduli.n
+        mv = as_modulus_vector(self.moduli)
+        object.__setattr__(self, "moduli", mv)
+        object.__setattr__(self, "members", tuple(tuple(map(int, v)) for v in self.members))
+        n, ranges = mv.n, tuple(map(range, mv))
         for v in self.members:
             if len(v) != n:
                 raise ArityMismatch(f"vector {v} has {len(v)} coordinates, expected {n}")
-            for c, d in zip(v, self.moduli):
-                if not 0 <= c < d:
-                    raise OutOfRange(f"coordinate {c} outside [0, {d}) in vector {v}")
+            bad = _first_outside(v, ranges)
+            if bad is not None:
+                raise OutOfRange(f"coordinate {bad[0]} outside [0, {bad[1]}) in vector {v}")
         _check_distinct(self.members, "vector")
 
     def __len__(self) -> int:
@@ -492,8 +503,13 @@ def parse_set_family(text: str, allow_empty: bool = False) -> SetFamily:
 
 
 def parse_vector_family(text: str, moduli) -> VectorFamily:
-    """Parse the one-vector-per-line comma-separated format."""
+    """Parse the one-vector-per-line comma-separated format.
+
+    Each line is checked here, so that errors name it, and the family is
+    built without checking its members a second time.
+    """
     mv = as_modulus_vector(moduli)
+    n, ranges = mv.n, tuple(map(range, mv))
     members: list[tuple[int, ...]] = []
     seen: dict[tuple[int, ...], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -502,22 +518,25 @@ def parse_vector_family(text: str, moduli) -> VectorFamily:
             if had_comment:
                 continue
             raise ArityMismatch(f"line {lineno}: blank line in vector family")
-        parts = [p.strip() for p in body.split(",")]
         try:
-            vec = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ArityMismatch(f"line {lineno}: non-integer coordinate") from exc
-        if len(vec) != mv.n:
-            raise ArityMismatch(
-                f"line {lineno}: vector has {len(vec)} coordinates, expected {mv.n}"
-            )
-        for c, d in zip(vec, mv):
-            if not 0 <= c < d:
-                raise OutOfRange(f"line {lineno}: coordinate {c} outside [0, {d})")
+            vec = tuple(map(int, body.split(",")))  # int() strips whitespace
+        except ValueError:
+            try:  # but not U+001F, which str.strip() removes
+                vec = tuple(int(p.strip()) for p in body.split(","))
+            except ValueError as exc:
+                raise ArityMismatch(f"line {lineno}: non-integer coordinate") from exc
+        if len(vec) != n:
+            raise ArityMismatch(f"line {lineno}: vector has {len(vec)} coordinates, expected {n}")
+        bad = _first_outside(vec, ranges)
+        if bad is not None:
+            raise OutOfRange(f"line {lineno}: coordinate {bad[0]} outside [0, {bad[1]})")
         if vec in seen:
             raise DuplicateMember(
                 f"line {lineno}: vector repeats the vector from line {seen[vec]}"
             )
         seen[vec] = lineno
         members.append(vec)
-    return VectorFamily(mv, tuple(members))
+    family = object.__new__(VectorFamily)
+    object.__setattr__(family, "moduli", mv)
+    object.__setattr__(family, "members", tuple(members))
+    return family

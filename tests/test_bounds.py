@@ -198,10 +198,34 @@ class TestJConstant:
             r = j_constant(q)
         assert abs(r.j_value - float(ref)) <= r.error_radius <= 1e-11
 
+    def test_newton_steps_close_the_bracket_in_few_slope_evaluations(self, monkeypatch):
+        # each slope evaluation calls expm1 twice, and the result at the
+        # bracket's midpoint four times: twice for J, twice for the radius;
+        # bisection takes 31-40 evaluations, and Newton points that approach
+        # the root from one side never move the other end of the bracket
+        class CountingMath:
+            expm1_calls = 0
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def expm1(self, x):
+                self.expm1_calls += 1
+                return math.expm1(x)
+
+        counting = CountingMath()
+        monkeypatch.setattr(bounds, "math", counting)
+        edges = [2**e + d for e in range(2, 54) for d in (-1, 0, 1) if 2**e + d <= 2**53]
+        for q in [*range(2, 20_001), *edges]:
+            counting.expm1_calls = 0
+            j_constant(q)
+            assert counting.expm1_calls % 2 == 0, q
+            assert 1 <= (counting.expm1_calls - 4) // 2 <= 8, q
+
     def test_slope_root_is_bracketed_by_one_and_three_over_q(self):
         # with x = exp(-s) the log objective has slope
         # q / expm1(q s) - 1 / expm1(s) + (q - 1) / 3; it changes sign
-        # between s = 1/q and s = 3/q, where the bisection starts
+        # between s = 1/q and s = 3/q, where the bracket starts
         def slope(q, s):
             return q / math.expm1(q * s) - 1.0 / math.expm1(s) + (q - 1) / 3.0
 

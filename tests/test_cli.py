@@ -125,7 +125,7 @@ class TestBoundsCommand:
 
     @pytest.mark.parametrize("q", ["5", "2048"])
     def test_j_tol_above_the_relative_rule_changes_nothing(self, capsys, monkeypatch, q):
-        # the bisection also stops only within 1e-6 of s <= 1.5, which binds first
+        # the bracket also stops only within 1e-6 of s <= 1.5, which binds first
         # here, so absolute stop widths of 1e-3 and 1e-6 print the same bytes
         monkeypatch.setattr(bounds, "_J_ABS_TOL", 1e-3)
         _, coarse, _ = run(capsys, "bounds", "j", "--q", q)

@@ -105,6 +105,30 @@ class TestParseVectorFamily:
         with pytest.raises(ArityMismatch, match="line 2: non-integer coordinate"):
             parse_vector_family("0,1\n0,x\n", (3, 3))
 
+    @pytest.mark.parametrize(
+        "text,exc,message",
+        [
+            ("0,1\n2,0,1\n", ArityMismatch, "line 2: vector has 3 coordinates, expected 2"),
+            ("0,1\n# note\n2,3\n", OutOfRange, "line 3: coordinate 3 outside [0, 3)"),
+            ("0,1\n-1,5\n", OutOfRange, "line 2: coordinate -1 outside [0, 3)"),
+            ("0,1\n1,0\n 0 ,1\n", DuplicateMember, "line 3: vector repeats the vector from line 1"),
+            ("0,1\n0,1 2\n", ArityMismatch, "line 2: non-integer coordinate"),
+            ("0,1\n\n", ArityMismatch, "line 2: blank line in vector family"),
+        ],
+        ids=["arity", "too-large", "negative-first", "duplicate", "inner-space", "blank"],
+    )
+    def test_error_messages_name_the_line(self, text, exc, message):
+        with pytest.raises(exc) as info:
+            parse_vector_family(text, (3, 3))
+        assert str(info.value) == message
+
+    def test_coordinates_may_carry_whitespace_that_str_strip_removes(self):
+        # int() strips whitespace itself, but not U+001F, which str.strip() does
+        fam = parse_vector_family(" 0,\t1 \n2\x1f, 0\u3000\n", (3, 3))
+        assert fam.members == ((0, 1), (2, 0))
+        assert fam == VectorFamily(ModulusVector((3, 3)), ((0, 1), (2, 0)))
+        assert type(fam.moduli) is ModulusVector
+
 
 class TestSetFamily:
     def test_equality_ignores_labels(self):
