@@ -33,6 +33,7 @@ from .model import (
 
 _EPS = sys.float_info.epsilon
 _EXP_OVERFLOW = 709.0  # log of the largest finite double, rounded down
+_J_Q_MAX = 2**53  # the last q exact as a double: j_constant's and eg-vector's ceiling
 
 
 @record
@@ -171,7 +172,7 @@ def j_constant(q: int) -> JMinimizationResult:
     """
     if q < 2:
         raise DomainError("q must be at least 2")
-    if q > 2**53:
+    if q > _J_Q_MAX:
         raise DomainError("q above 2^53 is not exact as a double")
 
     def slope(s: float) -> tuple[float, float]:
@@ -258,8 +259,9 @@ def eg_vector_bound(q: int, n: int) -> ApproxValue:
     It bounds families with no three-term progression of distinct points.
     For odd q such a progression is a sunflower, so it bounds sunflower-free
     families too, and compare_bounds reports it for moduli (q,) * n with q
-    an odd prime power.  For even q it need not be one: in Z4^2 the
-    progression (0,0), (2,1), (0,2) has first coordinates 0, 2, 0.
+    an odd prime power up to 2^53, where j_constant stops.  For even q it
+    need not be one: in Z4^2 the progression (0,0), (2,1), (0,2) has first
+    coordinates 0, 2, 0.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
@@ -377,31 +379,28 @@ def compare_bounds(moduli=None, k: int | None = None, M: int | None = None) -> l
 def _compare_vector_bounds(mv: ModulusVector) -> list[BoundReport]:
     if mv.n == 0:
         raise UsageError("moduli context must have at least one coordinate")
-    reports: list[BoundReport] = []
-    if all(d >= 3 for d in mv):
-        reports.append(
-            BoundReport(
-                name="generalized-ns",
-                parameters={"moduli": tuple(mv)},
-                value=generalized_ns_bound(mv),
-                exactness=EXACT_INT,
-            )
-        )
-        reports.append(
-            BoundReport(
-                name="balanced-times-three",
-                parameters={"n": mv.n, "M": sum(mv)},
-                value=3 * balanced_bound(mv.n, sum(mv)),
-                exactness=EXACT_INT,
-            )
-        )
+    params = {"moduli": tuple(mv)}
+    rest = [d for d in mv if d > 2]
+    if len(rest) < mv.n:
+        # a sunflower is all-equal on each coordinate of modulus 2, so each of
+        # the 2^a slices fixing those a coordinates is a free family over rest,
+        # capped by its point count and by generalized-ns
+        value = 2 ** (mv.n - len(rest)) * min(math.prod(rest), generalized_ns_bound(rest))
+        reports = [BoundReport("binary-slice", params, value, EXACT_INT)]
+    else:
+        balanced = 3 * balanced_bound(mv.n, sum(mv))
+        reports = [
+            BoundReport("generalized-ns", params, generalized_ns_bound(mv), EXACT_INT),
+            BoundReport("balanced-times-three", {"n": mv.n, "M": sum(mv)}, balanced, EXACT_INT),
+        ]
     distinct = set(mv)
     if len(distinct) == 1:
         d = distinct.pop()
         if d > 2:
             nsv = ns_vector_bound(d, mv.n)
             reports.append(_approx_report("ns-vector", {"D": d, "n": mv.n}, nsv))
-            if d % 2 and factorize(d).is_prime_power:
+            # the ceiling comes first: factorize is trial division up to sqrt(d)
+            if d % 2 and d <= _J_Q_MAX and factorize(d).is_prime_power:
                 eg = eg_vector_bound(d, mv.n)
                 reports.append(_approx_report("eg-vector", {"q": d, "n": mv.n}, eg))
     reports.sort(key=lambda r: (r.value, r.name))  # exact: no float overflow

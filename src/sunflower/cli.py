@@ -69,19 +69,14 @@ def _parse_moduli(text: str) -> tuple[int, ...]:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError as exc:
-            raise UsageError(f"bad range {text!r}") from exc
-        if hi < lo:
-            raise UsageError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    try:
-        return [int(text)]
+    lo_text, dots, hi_text = text.partition("..")
+    try:  # a single value N is the range N..N
+        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
     except ValueError as exc:
         raise UsageError(f"bad range {text!r}") from exc
+    if hi < lo:
+        raise UsageError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------- detect

@@ -455,10 +455,21 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _split_comment(raw: str) -> tuple[str, bool]:
-    if "#" in raw:
-        return raw.split("#", 1)[0], True
-    return raw, False
+def _member_lines(text: str, blank_error):
+    """(line number, text before any '#') for each member line of text.
+
+    A line left blank by cutting its comment is skipped; any other blank
+    line raises blank_error(line number), or with blank_error None is a
+    member line.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body, cut, _ = raw.partition("#")
+        if not body.strip():
+            if cut:
+                continue
+            if blank_error is not None:
+                raise blank_error(lineno)
+        yield lineno, body
 
 
 def parse_set_family(text: str, allow_empty: bool = False) -> SetFamily:
@@ -468,19 +479,11 @@ def parse_set_family(text: str, allow_empty: bool = False) -> SetFamily:
     sorted token order (numeric order when every token is an integer), so
     parsing is deterministic and independent of member order.
     """
-    raw_members: list[tuple[int, tuple[str, ...]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body, had_comment = _split_comment(raw)
-        tokens = body.split()
-        if not tokens:
-            if had_comment:
-                continue
-            if not allow_empty:
-                raise EmptySet(f"line {lineno}: empty member")
-            # blank line accepted as the empty set
-            raw_members.append((lineno, ()))
-            continue
-        raw_members.append((lineno, tuple(dict.fromkeys(tokens))))
+    blank_error = None if allow_empty else lambda n: EmptySet(f"line {n}: empty member")
+    raw_members = [  # with allow_empty a blank line is the empty set
+        (lineno, tuple(dict.fromkeys(body.split())))
+        for lineno, body in _member_lines(text, blank_error)
+    ]
 
     all_tokens = sorted({t for _, toks in raw_members for t in toks})
     try:
@@ -512,12 +515,8 @@ def parse_vector_family(text: str, moduli) -> VectorFamily:
     n, ranges = mv.n, tuple(map(range, mv))
     members: list[tuple[int, ...]] = []
     seen: dict[tuple[int, ...], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body, had_comment = _split_comment(raw)
-        if not body.strip():
-            if had_comment:
-                continue
-            raise ArityMismatch(f"line {lineno}: blank line in vector family")
+    lines = _member_lines(text, lambda n: ArityMismatch(f"line {n}: blank line in vector family"))
+    for lineno, body in lines:
         try:
             vec = tuple(map(int, body.split(",")))  # int() strips whitespace
         except ValueError:

@@ -384,11 +384,12 @@ class _Engine:
 
         Visits [0, c], then scans it over its candidate thirds d: one prune at
         the first d whose bound from d up cannot beat the incumbent, else the
-        start [0, c, d] with every candidate above d.  A root that cannot beat
-        the seed is one pruned node.
+        start [0, c, d] with every candidate above d.  With no start (at most
+        one point), or when the root cannot beat the seed, the walk is the
+        root's alone: one pruned node when the seed holds every point.
         """
         full, narrow = self.kernel.full, self.narrow
-        if starts and self._bound(0, full) <= self.best_value:
+        if not starts or self._bound(0, full) <= self.best_value:
             return self.run([], full)
         for c, thirds in starts:
             cands = narrow(full >> (c + 1) << (c + 1), [0], c)
@@ -476,12 +477,8 @@ def _solve(
     engine = _Engine(kernel, max_nodes, deadline, weights=kernel.rows if union else None)
     try:
         engine.seed(seed if union else engine.greedy(seed))
-        # exact per the anchor argument on VectorInstance; over no points
-        # only the family-size search counts the empty root as a node
-        if points or union:
-            optimal = engine.run_anchored(_anchor_starts(instance, points))
-        else:
-            optimal = engine.run([], kernel.full)
+        # exact per the anchor argument on VectorInstance
+        optimal = engine.run_anchored(_anchor_starts(instance, points))
     except KeyboardInterrupt:  # engine.best is the seed or better once seeded
         optimal = False
         engine.seed(engine.best or seed)

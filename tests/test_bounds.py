@@ -476,6 +476,30 @@ class TestCompareBounds:
         assert ("eg-vector" in names) == listed
         assert "ns-vector" in names
 
+    def test_eg_vector_stops_where_j_constant_does(self):
+        # 3^34 is an odd prime power above 2^53, past j_constant's ceiling
+        names = {r.name for r in compare_bounds(moduli=(3**34,))}
+        assert names == {"balanced-times-three", "generalized-ns", "ns-vector"}
+
+    def test_the_ceiling_is_tested_before_factorize(self, monkeypatch):
+        # factorize(2^61 - 1) would run trial division up to about 1.5e9
+        def refuse(m):
+            raise AssertionError(f"factorize({m}) called")
+
+        monkeypatch.setattr(bounds, "factorize", refuse)
+        names = {r.name for r in compare_bounds(moduli=(2**61 - 1,))}
+        assert names == {"balanced-times-three", "generalized-ns", "ns-vector"}
+
+    @pytest.mark.parametrize(
+        "moduli,value",
+        [((2,), 2), ((2, 3), 6), ((2, 6), 6), ((2, 2, 3), 12), ((2, 3, 3), 18), ((2, 2, 2), 8)],
+    )
+    def test_moduli_with_a_two_get_the_binary_slice_bound(self, moduli, value):
+        # 2^a slices, each a free family over the rest: at most min(prod, generalized-ns)
+        [report] = compare_bounds(moduli=moduli)
+        assert (report.name, report.value, report.exactness) == ("binary-slice", value, EXACT_INT)
+        assert report.parameters == {"moduli": moduli}
+
     def test_vector_context_composite_modulus(self):
         # 15 is not a prime power: no EG entry; the rest still apply.
         names = {r.name for r in compare_bounds(moduli=(15, 15))}

@@ -134,10 +134,27 @@ class TestBoundChecks:
         }
 
     def test_contexts_compare_bounds_rejects_or_leaves_empty_get_none(self):
-        assert max_sunflower_free_vectors((2, 3, 3)).bound_checks == ()
+        # (2, 3, 3) has one check, binary-slice: 2 * min(9 points, generalized-ns 15)
+        assert max_sunflower_free_vectors((2, 3, 3)).bound_checks == (
+            {
+                "name": "binary-slice",
+                "parameters": {"moduli": [2, 3, 3]},
+                "value": 18,
+                "exactness": EXACT_INT,
+                "strictness": "at-most",
+                "ok": True,
+            },
+        )
         assert max_sunflower_free_vectors(()).bound_checks == ()
         r = max_sunflower_free_uniform(3, 2)
         assert r.optimal and r.bound_checks == ()
+
+    @pytest.mark.parametrize("moduli", [(2,), (2, 3), (2, 6), (2, 2, 3), (2, 3, 3), (2, 2, 2)])
+    def test_moduli_with_a_two_get_one_binary_slice_check(self, moduli):
+        r = max_sunflower_free_vectors(moduli)
+        assert r.optimal
+        assert [(c["name"], c["ok"]) for c in r.bound_checks] == [("binary-slice", True)]
+        assert list(r.bound_checks) == self.unflagged(compare_bounds(moduli))
 
     def test_degenerate_main_bound_is_left_out(self):
         r = max_sunflower_free_uniform(2, 2)
@@ -557,6 +574,22 @@ class TestSymmetryAnchor:
         r = max_sunflower_free_vectors((2,) * 5)
         assert r.optimal and r.nodes_explored == 1 and r.stats["prunes"] == 1
         assert r.witness_indices == tuple(range(32))
+
+    def test_at_most_one_point_visits_the_root_once(self):
+        # one point: its root is pruned, the seed holding it; no point: a bare root
+        runs = [
+            max_sunflower_free_uniform(1, 1),
+            max_sunflower_free_uniform(2, 2),
+            max_sunflower_free_vectors(()),
+            max_sunflower_free_uniform(3, 2),
+        ]
+        assert all(r.optimal for r in runs)
+        assert [(r.nodes_explored, r.stats["prunes"]) for r in runs] == [(1, 1)] * 3 + [(1, 0)]
+        unions = [search._solve(UniformInstance(*km), 10**9, None, union=True) for km in
+                  [(1, 1), (2, 2), (3, 2)]]
+        assert all(optimal for *_, optimal in unions)
+        assert [(e.nodes, e.prunes) for _, e, _, _ in unions] == [(1, 1), (1, 1), (1, 0)]
+        assert max_union(1, 1).nodes_explored == 1
 
 
 class TestPathMemo:
