@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 
 from sunflower import erdos_rado_threshold, main_bound
+from sunflower.bounds import THRESHOLD_K_CEILING
 
 
 def parse_range(text: str) -> range:
@@ -33,8 +34,17 @@ def main(argv=None) -> int:
     ap.add_argument("--m", type=parse_range, default="4..20", help="M or lo..hi (default 4..20)")
     ap.add_argument("--out", help="CSV path (default: stdout)")
     args = ap.parse_args(argv)
-
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
+    if args.k[0] < 1:
+        ap.error("--k must be at least 1")
+    if args.k[-1] > THRESHOLD_K_CEILING:
+        ap.error(
+            f"--k above {THRESHOLD_K_CEILING}: the threshold's numerator passes"
+            " Python's 4,300-digit int-to-str limit"
+        )
+    try:
+        sink = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        ap.error(f"cannot open --out: {exc}")
     try:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["k", "M", "main_bound", "radius", "threshold", "tighter"])

@@ -8,7 +8,7 @@ import argparse
 import csv
 import sys
 
-from sunflower import j_constant
+from sunflower import DomainError, j_constant
 
 
 def main(argv=None) -> int:
@@ -19,8 +19,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.q_min < 2 or args.q_max < args.q_min:
         ap.error("need 2 <= q-min <= q-max")
-
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
+    try:
+        j_constant(args.q_max)  # its ceiling, tested before any row
+    except DomainError as exc:
+        ap.error(f"--q-max {args.q_max}: {exc}")
+    try:
+        sink = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        ap.error(f"cannot open --out: {exc}")
     try:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["q", "x_star", "j", "radius"])

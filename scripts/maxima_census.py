@@ -39,8 +39,12 @@ def main(argv=None) -> int:
     ap.add_argument("--budget-nodes", type=int, default=2_000_000)
     ap.add_argument("--out", help="CSV path (default: stdout)")
     args = ap.parse_args(argv)
-
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
+    if args.budget_nodes < 0:
+        ap.error("--budget-nodes cannot be negative")
+    try:
+        sink = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        ap.error(f"cannot open --out: {exc}")
     try:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["instance", "maximum", "optimal", "nodes", "bound", "slack"])

@@ -34,6 +34,9 @@ from .model import (
 _EPS = sys.float_info.epsilon
 _EXP_OVERFLOW = 709.0  # log of the largest finite double, rounded down
 _J_Q_MAX = 2**53  # the last q exact as a double: j_constant's and eg-vector's ceiling
+# the last k whose Erdos-Rado threshold numerator Python prints within its
+# 4,300-digit int-to-str limit: compare_bounds's and bounds_grid.py's ceiling
+THRESHOLD_K_CEILING = 1423
 
 
 @record
@@ -217,13 +220,6 @@ class Factorization:
     pairs: tuple[tuple[int, int], ...]
 
     @property
-    def value(self) -> int:
-        out = 1
-        for p, a in self.pairs:
-            out *= p**a
-        return out
-
-    @property
     def is_prime_power(self) -> bool:
         return len(self.pairs) == 1
 
@@ -261,16 +257,17 @@ def eg_vector_bound(q: int, n: int) -> ApproxValue:
     families too, and compare_bounds reports it for moduli (q,) * n with q
     an odd prime power up to 2^53, where j_constant stops.  For even q it
     need not be one: in Z4^2 the progression (0,0), (2,1), (0,2) has first
-    coordinates 0, 2, 0.
+    coordinates 0, 2, 0.  q <= 2 and q above 2^53 raise DomainError before
+    any trial division; any other q is factorized once, and NotPrimePower is
+    raised unless it is a prime power.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    fac = factorize(q)
-    if not fac.is_prime_power:
-        raise NotPrimePower(f"{q} is not a prime power")
     if q <= 2:
         raise DomainError("the bound requires a prime power above 2")
-    res = j_constant(q)
+    res = j_constant(q)  # raises past its ceiling, before any trial division
+    if not factorize(q).is_prime_power:
+        raise NotPrimePower(f"{q} is not a prime power")
     rel_j = res.error_radius / res.j_value
     return _exp_with_radius(
         [n * math.log(res.j_value * q)], extra_rel=n * rel_j + 4.0 * _EPS * n
@@ -399,19 +396,21 @@ def _compare_vector_bounds(mv: ModulusVector) -> list[BoundReport]:
         if d > 2:
             nsv = ns_vector_bound(d, mv.n)
             reports.append(_approx_report("ns-vector", {"D": d, "n": mv.n}, nsv))
-            # the ceiling comes first: factorize is trial division up to sqrt(d)
-            if d % 2 and d <= _J_Q_MAX and factorize(d).is_prime_power:
-                eg = eg_vector_bound(d, mv.n)
-                reports.append(_approx_report("eg-vector", {"q": d, "n": mv.n}, eg))
+            # past the ceiling eg_vector_bound would raise DomainError
+            if d % 2 and d <= _J_Q_MAX:
+                try:
+                    eg = eg_vector_bound(d, mv.n)
+                except NotPrimePower:
+                    pass
+                else:
+                    reports.append(_approx_report("eg-vector", {"q": d, "n": mv.n}, eg))
     reports.sort(key=lambda r: (r.value, r.name))  # exact: no float overflow
     return reports
 
 
 def _compare_uniform_bounds(k: int, M: int) -> list[BoundReport]:
     reports = [main_bound(k, M)]
-    # the threshold's numerator at k = 1423 is the last that Python prints
-    # within its 4,300-digit int-to-str limit
-    if k <= 1423:
+    if k <= THRESHOLD_K_CEILING:
         reports.append(
             BoundReport(
                 name="erdos-rado-threshold",

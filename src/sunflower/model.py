@@ -45,11 +45,11 @@ def _first_outside(vec: tuple[int, ...], ranges: tuple[range, ...]) -> tuple[int
     return next((c, r.stop) for c, r in zip(vec, ranges) if c not in r)
 
 
-def _check_distinct(items: Sequence, what: str, exc=DuplicateMember) -> None:
+def _check_distinct(items: Sequence, what: str) -> None:
     seen = {}
     for idx, item in enumerate(items):
         if item in seen:
-            raise exc(f"{what} {idx} repeats {what} {seen[item]}")
+            raise DuplicateMember(f"{what} {idx} repeats {what} {seen[item]}")
         seen[item] = idx
 
 
@@ -191,21 +191,6 @@ class SetFamily:
         lines = [" ".join(self.member_labels(mem)) for mem in self.members]
         return "".join(line + "\n" for line in lines)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "members": [sorted(mem) for mem in self.members],
-            "labels": {str(e): self.label(e) for e in sorted(self.universe)},
-        }
-
-    @staticmethod
-    def from_json_dict(obj: Mapping) -> "SetFamily":
-        if "members" not in obj:
-            raise DomainError("set family JSON needs a 'members' key")
-        labels = None
-        if obj.get("labels"):
-            labels = {int(k): str(v) for k, v in obj["labels"].items()}
-        return SetFamily(tuple(frozenset(m) for m in obj["members"]), labels)
-
 
 def union_size(family: SetFamily) -> int:
     """Number of elements appearing in at least one member."""
@@ -279,21 +264,6 @@ class VectorFamily:
     def to_text(self) -> str:
         return "".join(",".join(str(c) for c in v) + "\n" for v in self.members)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "moduli": list(self.moduli),
-            "members": [list(v) for v in self.members],
-        }
-
-    @staticmethod
-    def from_json_dict(obj: Mapping) -> "VectorFamily":
-        if "moduli" not in obj or "members" not in obj:
-            raise DomainError("vector family JSON needs 'moduli' and 'members' keys")
-        return VectorFamily(
-            ModulusVector(tuple(obj["moduli"])),
-            tuple(tuple(v) for v in obj["members"]),
-        )
-
 
 @record
 class PartiteStructure:
@@ -336,9 +306,6 @@ class PartiteStructure:
         for e in mem:
             hit[self.class_of[e]] += 1
         return all(h == 1 for h in hit)
-
-    def to_json_dict(self) -> dict:
-        return {"classes": [sorted(c) for c in self.classes]}
 
 
 @record

@@ -422,8 +422,8 @@ def pipeline(f: SetFamily, seed: int | None = None, rounds: int = 1) -> Pipeline
         final_moduli=tuple(t_family.moduli),
         final_universe_size=sum(len(cls) for cls in p3.classes),
         generalized_ns_value=gen_ns,
-        main_bound_value=mb.value if isinstance(mb.value, float) else float(mb.value),
-        main_bound_radius=mb.radius if mb.radius is not None else 0.0,
+        main_bound_value=mb.value,
+        main_bound_radius=mb.radius,
         main_bound_degenerate=degenerate,
         certificates=certificates,
     )

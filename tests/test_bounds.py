@@ -283,6 +283,10 @@ class TestFactorize:
         with pytest.raises(DomainError):
             factorize(1)
 
+    def test_has_no_value(self):
+        # every caller of factorize(m) has m; the product of prime_powers() is m
+        assert not hasattr(Factorization, "value")
+
 
 class TestEgVectorBound:
     def test_frozen(self):
@@ -299,6 +303,15 @@ class TestEgVectorBound:
             eg_vector_bound(15, 2)
         with pytest.raises(DomainError):
             eg_vector_bound(2, 2)
+
+    def test_ceiling_is_tested_before_factorize(self, monkeypatch):
+        # 2^53 + 5 is prime: factorize would trial-divide up to about 9.5e7
+        def refuse(m):
+            raise AssertionError(f"factorize({m}) called")
+
+        monkeypatch.setattr(bounds, "factorize", refuse)
+        with pytest.raises(DomainError, match="above 2\\^53"):
+            eg_vector_bound(2**53 + 5, 1)
 
 
 class TestGeneralizedNs:
@@ -490,6 +503,17 @@ class TestCompareBounds:
         names = {r.name for r in compare_bounds(moduli=(2**61 - 1,))}
         assert names == {"balanced-times-three", "generalized-ns", "ns-vector"}
 
+    def test_an_odd_prime_power_is_factorized_once(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return factorize(m)
+
+        monkeypatch.setattr(bounds, "factorize", counting)
+        assert "eg-vector" in {r.name for r in compare_bounds(moduli=(9, 9))}
+        assert calls == [9]
+
     @pytest.mark.parametrize(
         "moduli,value",
         [((2,), 2), ((2, 3), 6), ((2, 6), 6), ((2, 2, 3), 12), ((2, 3, 3), 18), ((2, 2, 2), 8)],
@@ -531,8 +555,6 @@ class TestCompareBounds:
                      DomainError("minimizer must lie strictly inside (0,1)"), id="j-x-star-1"),
         pytest.param(lambda: JMinimizationResult(3, 0.0, 1.0, 0.0),
                      DomainError("minimizer must lie strictly inside (0,1)"), id="j-x-star-0"),
-        pytest.param(lambda: factorize(360).value, 360, id="factorization-value"),
-        pytest.param(lambda: Factorization(()).value, 1, id="factorization-value-empty"),
     ],
 )
 def test_checks_no_other_test_reaches(call, expected):

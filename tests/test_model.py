@@ -146,13 +146,11 @@ class TestSetFamily:
         assert union_size(fam) == 3
         assert not hasattr(fam, "ground_size")  # union_size is the one name
 
-    def test_json_round_trip(self):
-        fam = parse_set_family("b a\nc a\n")
-        again = SetFamily.from_json_dict(fam.to_json_dict())
-        assert again.members == fam.members
-        assert [again.label(e) for e in sorted(again.universe)] == [
-            fam.label(e) for e in sorted(fam.universe)
-        ]
+    def test_has_no_json_codec(self):
+        # to_text and parse_set_family are the one serialization
+        fam = parse_set_family("b a\n")
+        assert not hasattr(fam, "to_json_dict")
+        assert not hasattr(SetFamily, "from_json_dict")
 
     def test_to_text_parse_round_trip_preserves_labels(self):
         fam = parse_set_family("5 9\n9 12\n")
@@ -200,24 +198,20 @@ class TestVectorFamily:
         assert fam.to_text() == "0,3\n2,1\n"
         assert parse_vector_family(fam.to_text(), (3, 4)) == fam
 
-    def test_json_round_trip(self):
-        fam = VectorFamily(ModulusVector((3, 4)), ((0, 3), (2, 1)))
-        payload = fam.to_json_dict()
-        assert payload == {"moduli": [3, 4], "members": [[0, 3], [2, 1]]}
-        assert VectorFamily.from_json_dict(json.loads(json.dumps(payload))) == fam
-
-    @pytest.mark.parametrize("key", ["moduli", "members"])
-    def test_from_json_dict_needs_both_keys(self, key):
-        payload = {"moduli": [3], "members": [[0]]}
-        del payload[key]
-        with pytest.raises(DomainError, match="needs 'moduli' and 'members'"):
-            VectorFamily.from_json_dict(payload)
+    def test_has_no_json_codec(self):
+        # to_text and parse_vector_family are the one serialization
+        fam = VectorFamily(ModulusVector((3,)), ((0,),))
+        assert not hasattr(fam, "to_json_dict")
+        assert not hasattr(VectorFamily, "from_json_dict")
 
 
 class TestPartiteStructure:
     def test_overlapping_classes_rejected(self):
         with pytest.raises(DomainError):
             PartiteStructure((frozenset({0, 1}), frozenset({1, 2})))
+
+    def test_has_no_json_dict(self):
+        assert not hasattr(PartiteStructure(({0}, {1})), "to_json_dict")
 
     def test_is_transversal(self):
         p = PartiteStructure((frozenset({0, 1}), frozenset({2, 3})))
@@ -305,14 +299,10 @@ class TestBoundReport:
         pytest.param(lambda: SetFamily((frozenset({-1}),)),
                      OutOfRange("element ids must be non-negative integers, got -1"),
                      id="negative-id"),
-        pytest.param(lambda: SetFamily.from_json_dict({}),
-                     DomainError("set family JSON needs a 'members' key"), id="json-no-members"),
         pytest.param(lambda: BoundReport("x", {}, 1, "exact"),
                      DomainError("unknown exactness class 'exact'"), id="unknown-exactness"),
         pytest.param(lambda: BoundReport("x", {}, True, EXACT_INT).to_json_dict(),
                      DomainError("bound value cannot be boolean"), id="bool-value"),
-        pytest.param(lambda: PartiteStructure(({2, 0}, {1})).to_json_dict(),
-                     {"classes": [[0, 2], [1]]}, id="partite-json"),
         pytest.param(lambda: SunflowerWitness((0, 1, 2), kernel={5, 3}).to_json_dict(),
                      {"members": [0, 1, 2], "kernel": [3, 5]}, id="witness-json-no-family"),
     ],

@@ -11,6 +11,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import mp_j_constant
 
+from sunflower.bounds import THRESHOLD_K_CEILING
+
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
@@ -55,22 +57,26 @@ def test_bounds_grid_rows(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,message", [(["--k", "6..2"], "empty range '6..2'"), (["--m", "4..x"], "bad range '4..x'")]
+    "name,argv,message",
+    [
+        ("bounds_grid", ["--k", "6..2"], "empty range '6..2'"),
+        ("bounds_grid", ["--m", "4..x"], "bad range '4..x'"),
+        ("bounds_grid", ["--k", "0..2"], "--k must be at least 1"),
+        ("bounds_grid", ["--k", "1424", "--m", "1424"], f"--k above {THRESHOLD_K_CEILING}"),
+        ("j_curve", ["--tol", "1e-6"], "unrecognized arguments: --tol"),
+        ("j_curve", ["--q-min", "9007199254740990", "--q-max", "9007199254740995"],
+         "q above 2^53"),
+        ("maxima_census", ["--budget-nodes", "-1"], "--budget-nodes cannot be negative"),
+        *[(name, ["--out", "/nonexistent/x.csv"], "cannot open --out")
+          for name in ("bounds_grid", "j_curve", "maxima_census")],
+    ],
 )
-def test_bounds_grid_rejects_a_reversed_or_bad_range(capsys, argv, message):
+def test_bad_input_is_a_usage_error_before_any_row(capsys, name, argv, message):
     with pytest.raises(SystemExit) as exit_info:
-        load("bounds_grid").main(argv)
+        load(name).main(argv)
     captured = capsys.readouterr()
     assert exit_info.value.code == 2 and captured.out == ""
     assert message in captured.err
-
-
-def test_j_curve_has_no_tol_flag(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        load("j_curve").main(["--tol", "1e-6"])
-    captured = capsys.readouterr()
-    assert exit_info.value.code == 2 and captured.out == ""
-    assert "unrecognized arguments: --tol" in captured.err
 
 
 def test_j_curve_rows(capsys):
