@@ -19,7 +19,7 @@ from sunflower import compare_bounds, max_sunflower_free_uniform, max_sunflower_
 VECTOR_CELLS = [
     (3,), (4,), (5,), (6,), (7,),
     (3, 3), (4, 4), (2, 6), (3, 5),
-    (3, 3, 3), (2, 2, 2),
+    (3, 3, 3), (2, 2, 2), (2, 3, 3, 3), (2, 2, 3, 3),
 ]
 UNIFORM_CELLS = [(2, m) for m in range(4, 9)] + [(3, m) for m in range(4, 7)]
 

@@ -14,12 +14,11 @@ pair's two values leaves no third one, which is why every family over D = 2
 is sunflower-free.  For the same reason the three members of a sunflower
 agree on every column holding at most two values: the kernel keys each
 member by its features among such complementary pairs, and the members of
-one key form a class.  The exact search skips pairs of different keys when
-it narrows from scratch.  The kernel yields every sunflower triple in lex
+one key form a class.  The kernel yields every sunflower triple in lex
 order, pairing each i only with the later members of its class, by buckets
 of equal trace on i tested one member at a time (triples): the fast
-detectors and CNF export use that, and the exact search narrows through a
-lazy table of completions that it owns.
+detectors and CNF export use that.  The exact search narrows through a
+lazy table of completions that it owns, over moduli without a 2.
 
 Searches scan index combinations in lexicographic order, so the witness
 returned is always the lexicographically smallest one.  The definitional
@@ -153,8 +152,7 @@ class CompletionKernel:
     values of a column holding two).  Members of different keys have no
     completion: one holds f and the other g of some such pair, so both lie
     in A ^ B, and every third member holds one of them.  So the members of
-    one key form a class, and both triples and the exact search pair only
-    within a class.
+    one key form a class, and triples pairs only within a class.
     """
 
     def __init__(self, members: Sequence[Collection[int]]):

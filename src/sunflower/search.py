@@ -21,22 +21,22 @@ Triple constraints come from a detect.CompletionKernel over the points'
 features, cached in the engine's lazy table: row p, made when point p is
 first narrowed, holds at each chosen a < p the complement of the
 completions of (a, p), filled on first read.  Greedy and the anchored
-starts narrow with _Engine.narrow, which skips chosen points of another
-kernel key; the walk keeps a path memo so that an include ANDs one memo
-entry instead of every chosen point's slot, and settles a leaf or pruned
-child without pushing it (see _Engine).  Answers are verified with the
-definitional scans of detect (for vectors the pair lookup within classes
-of equal values on the columns holding at most two), never with that
-kernel.  One driver, _solve, runs every search.  time_limit is one
-deadline, set at call start, and max_nodes one budget, for greedy's
-includes and the engine's nodes; an interrupt during either returns the
-incumbent unproved, as a budget exit does.
+starts narrow with _Engine.narrow; the walk keeps a path memo so that an
+include ANDs one memo entry instead of every chosen point's slot, and
+settles a leaf or pruned child without pushing it (see _Engine).  Answers
+are verified with the definitional scans of detect (for vectors the pair
+lookup within classes of equal values on the columns holding at most two),
+never with that kernel.  One driver, _solve, runs every search (lifted
+over moduli 2, see _binary_split).  time_limit is one deadline, set at
+call start, and max_nodes one budget, for greedy's includes and the
+engine's nodes; an interrupt during either returns the incumbent
+unproved, as a budget exit does.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from itertools import chain, combinations, combinations_with_replacement, groupby, product
 from math import comb, prod
 from operator import mul
@@ -231,8 +231,6 @@ class _Engine:
         self.best: list[int] = []
         self.best_value = 0
         self.table: list[list[int | None] | None] = [None] * len(kernel.rows) if kernel else []
-        keys = kernel.keys() if kernel else []
-        self.keys = keys if len(set(keys)) > 1 else None  # None: one key, nothing to skip
 
     def _acc(self, points: Sequence[int]) -> int:
         acc = 0
@@ -245,20 +243,10 @@ class _Engine:
         self.best_value = self._acc(incumbent).bit_count()
 
     def narrow(self, cands: int, chosen: Sequence[int], p: int) -> int:
-        """cands without the completions of (a, p) for each chosen a < p.
-
-        A chosen a of another kernel key than p's has no completion with p
-        (see CompletionKernel), so it is skipped and fills no slot; over Z2^n
-        every point is its own key and greedy fills none.  With no
-        complementary pair every point has one key, and nothing is tested.
-        """
+        """cands without the completions of (a, p) for each chosen a < p."""
         row = self.table[p]
         if row is None:
             row = self.table[p] = [None] * p
-        keys = self.keys
-        if keys is not None:
-            key = keys[p]
-            chosen = [a for a in chosen if keys[a] == key]
         for a in chosen:
             keep = row[a]
             if keep is None:
@@ -435,9 +423,28 @@ class SearchResult:
 
 
 def greedy_lower_bound(instance: Instance) -> list[int]:
-    """Lexicographically first maximal family, as point indices."""
-    kernel = CompletionKernel(instance.features(instance.points()))
-    return _Engine(kernel, DEFAULT_NODE_BUDGET, None).greedy()
+    """Lexicographically first maximal family, as point indices (lifted, see _binary_split)."""
+    rest, lift = _binary_split(instance)
+    kernel = CompletionKernel(rest.features(rest.points()))
+    return lift(_Engine(kernel, DEFAULT_NODE_BUDGET, None).greedy())
+
+
+def _binary_split(instance: Instance) -> tuple[Instance, Callable[[Sequence[int]], list[int]]]:
+    """(rest, lift): rest drops the moduli 2; lift maps a family of rest to every
+    point whose other coordinates are a member, ascending.  Else (instance, list).
+    A sunflower is all-equal where the modulus is 2, so it lies in one slice
+    fixing those coordinates, a copy of rest in point order: s = 2^a s(rest),
+    greedy lifts to greedy, and a maximum family first differing from the lift
+    of rest's lex-first maximum would precede the copy there.
+    """
+    moduli = instance.moduli.moduli if isinstance(instance, VectorInstance) else ()
+    if 2 not in moduli:
+        return instance, list
+    steps = [range(0, prod(moduli[i:]), prod(moduli[i + 1 :])) for i in range(len(moduli))]
+    rest_at = [sum(o) for o in product(*(r for r, d in zip(steps, moduli) if d != 2))]
+    slice_at = [sum(o) for o in product(*(r for r, d in zip(steps, moduli) if d == 2))]
+    rest = VectorInstance(ModulusVector(tuple(d for d in moduli if d != 2)))
+    return rest, lambda family: sorted(rest_at[r] + s for r in family for s in slice_at)
 
 
 def _deadline(max_nodes: int, time_limit: float | None) -> float | None:
@@ -460,6 +467,7 @@ def _solve(
     union maximizes the union size from the seed [point 0], not greedy: its
     witness must stay the first maximum in tuple order, where a prefix comes first.
     A spent budget (max_nodes 0, or a passed deadline) returns the seed unproved, no kernel built.
+    Moduli holding a 2: rest's search under the same budgets, lifted, verified on instance.
     """
     count = instance.point_count()
     if count > DEFAULT_POINT_CEILING:
@@ -472,16 +480,20 @@ def _solve(
         engine.seed(seed)
         engine.nodes = int(not expired)
         return points, engine, seed, False
-    kernel = CompletionKernel(instance.features(points))
+    rest, lift = _binary_split(instance)
+    rest_points = points if rest is instance else rest.points()
+    kernel = CompletionKernel(rest.features(rest_points))
     # a k-subset's features are its elements, so its kernel row is its bitset
     engine = _Engine(kernel, max_nodes, deadline, weights=kernel.rows if union else None)
     try:
         engine.seed(seed if union else engine.greedy(seed))
         # exact per the anchor argument on VectorInstance
-        optimal = engine.run_anchored(_anchor_starts(instance, points))
+        optimal = engine.run_anchored(_anchor_starts(rest, rest_points))
     except KeyboardInterrupt:  # engine.best is the seed or better once seeded
         optimal = False
         engine.seed(engine.best or seed)
+    seed = lift(seed)
+    engine.seed(lift(engine.best))
     ok, witness = verify_family_points(instance, [points[i] for i in engine.best])
     if not ok:
         raise SunflowerError(f"internal error: witness fails verification at {witness.indices}")

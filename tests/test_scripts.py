@@ -37,7 +37,7 @@ class TestMaximaCensus:
             return {row["instance"]: row for row in csv.DictReader(f)}
 
     def test_every_bound_caps_its_maximum(self, rows):
-        assert len(rows) == 19
+        assert len(rows) == 21
         for row in rows.values():
             assert row["optimal"] == "True"
             assert Fraction(row["bound"]) >= int(row["maximum"])
@@ -47,6 +47,11 @@ class TestMaximaCensus:
         # Z2x6: two slices of Z6, each capped at 3; Z2^3: the point count
         assert (rows["Z2x6"]["maximum"], rows["Z2x6"]["bound"]) == ("4", "6")
         assert (rows["Z2x2x2"]["maximum"], rows["Z2x2x2"]["bound"]) == ("8", "8")
+
+    def test_moduli_of_two_are_proved_through_the_rest(self, rows):
+        # twice Z3^3's 9, and four times Z3^2's 4
+        assert (rows["Z2x3x3x3"]["maximum"], rows["Z2x3x3x3"]["optimal"]) == ("18", "True")
+        assert (rows["Z2x2x3x3"]["maximum"], rows["Z2x2x3x3"]["optimal"]) == ("16", "True")
 
 
 def test_bounds_grid_rows(capsys):

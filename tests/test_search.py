@@ -113,6 +113,85 @@ class TestAgainstExhaustiveOracle:
         assert r.witness_indices == idxs
 
 
+def moduli_id(moduli):
+    return "x".join(map(str, moduli))
+
+
+class TestBinaryLift:
+    """Moduli holding a 2: the search over the others, lifted into every slice."""
+
+    @pytest.mark.parametrize(
+        "moduli", [(2, 3), (3, 2), (2, 2, 3), (3, 2, 3), (2, 3, 3)], ids=moduli_id
+    )
+    def test_lifted_witness_is_the_oracles(self, moduli):
+        # brute force over the whole instance: no kernel, no lift
+        points = list(itertools.product(*(range(d) for d in moduli)))
+        size, idxs = brute_max_free(points, "vectors")
+        r = max_sunflower_free_vectors(moduli)
+        assert r.optimal
+        assert (r.maximum, r.witness_indices) == (size, idxs)
+
+    @pytest.mark.parametrize(
+        "moduli,witness",
+        [
+            ((2, 3, 2, 3), [0, 1, 3, 4, 6, 7, 9, 10, 18, 19, 21, 22, 24, 25, 27, 28]),
+            ((2, 2, 3, 3), [0, 1, 3, 4, 9, 10, 12, 13, 18, 19, 21, 22, 27, 28, 30, 31]),
+        ],
+        ids=["2x3x2x3", "2x2x3x3"],
+    )
+    def test_witnesses_equal_the_search_over_every_point(self, moduli, witness):
+        # the engine over all 36 points found these after 13.4M and 11.8M nodes
+        r = max_sunflower_free_vectors(moduli)
+        assert r.optimal and (r.nodes_explored, r.stats["prunes"]) == (12, 4)
+        assert list(r.witness_indices) == witness
+
+    def test_2333_is_two_copies_of_the_z3_cubed_witness(self):
+        r = max_sunflower_free_vectors((2, 3, 3, 3))
+        assert (r.maximum, r.optimal, r.nodes_explored) == (18, True, 4240)
+        z = max_sunflower_free_vectors((3, 3, 3))
+        assert r.witness_points == tuple((b, *p) for b in (0, 1) for p in z.witness_points)
+        assert [(c["name"], c["ok"]) for c in r.bound_checks] == [("binary-slice", True)]
+
+    def test_z2_to_the_9_times_z3_is_proved_within_two_seconds(self):
+        r = max_sunflower_free_vectors((2,) * 9 + (3,), time_limit=2)
+        assert r.maximum == 1024 and r.optimal
+
+    def test_a_budget_stop_lifts_the_incumbent_of_the_rest(self):
+        # (2,3,3,3,3) spends the budget on Z3^4; greedy_size is the lifted greedy's
+        r = max_sunflower_free_vectors((2, 3, 3, 3, 3), max_nodes=1000)
+        assert (r.maximum, r.optimal, r.nodes_explored) == (36, False, 1001)
+        assert r.stats["greedy_size"] == 32 and r.bound_checks == ()
+        rest = max_sunflower_free_vectors((3, 3, 3, 3), max_nodes=1000)
+        assert r.witness_points == tuple((b, *p) for b in (0, 1) for p in rest.witness_points)
+        inst = VectorInstance(as_modulus_vector((2, 3, 3, 3, 3)))
+        assert verify_family_points(inst, r.witness_points) == (True, None)
+
+    def test_max_nodes_bounds_the_rest_so_greedy_size_can_exceed_it(self):
+        r = max_sunflower_free_vectors((2,) * 12, max_nodes=1)
+        assert (r.maximum, r.optimal, r.nodes_explored) == (4096, True, 1)
+        assert r.stats["greedy_size"] == 4096
+
+    def test_the_lifted_witness_is_verified_on_every_coordinate(self, monkeypatch):
+        calls, real = [], search.verify_family_points
+
+        def verify(instance, points):
+            calls.append((instance, tuple(points)))
+            return real(instance, points)
+
+        monkeypatch.setattr(search, "verify_family_points", verify)
+        r = max_sunflower_free_vectors((3, 2, 3))
+        assert len(r.witness_points) == 8
+        assert calls == [(VectorInstance(as_modulus_vector((3, 2, 3))), r.witness_points)]
+
+    @pytest.mark.parametrize(
+        "moduli", [(3, 2, 3), (2, 2, 3), (3, 3, 2), (2,) * 6 + (3,)], ids=moduli_id
+    )
+    def test_greedy_is_the_greedy_family_of_every_point(self, moduli):
+        inst = VectorInstance(as_modulus_vector(moduli))
+        engine = _Engine(CompletionKernel(inst.features(inst.points())), 10**9, None)
+        assert greedy_lower_bound(inst) == engine.greedy()
+
+
 class TestBoundChecks:
     """bound_checks are the unflagged compare_bounds reports of the context, each with ok."""
 
@@ -287,7 +366,7 @@ class TestSearchMechanics:
         assert r.nodes_explored == (41 - reads_before_engine) * _TIME_CHECK_STRIDE
 
     def test_time_limit_covers_greedy(self):
-        # unbudgeted, greedy alone takes seconds and picks 1,024 points
+        # a deadline passed at the start returns greedy's empty prefix unproved
         r = max_sunflower_free_vectors((2,) * 9 + (3,), time_limit=0)
         assert not r.optimal and r.nodes_explored == 0
         assert r.stats["greedy_size"] < 1024
@@ -303,13 +382,13 @@ class TestSearchMechanics:
         assert _Engine(kernel, 10**9, deadline=3.5).greedy() == full[:4]
 
     def test_greedy_includes_count_against_the_node_budget(self):
-        # unbudgeted, greedy alone takes a minute and picks all 4,096 points
-        inst = VectorInstance(as_modulus_vector((2,) * 12))
-        r = max_sunflower_free_vectors((2,) * 12, max_nodes=0)
+        # unbudgeted, greedy picks 64 of Z3^6's 729 points
+        inst = VectorInstance(as_modulus_vector((3,) * 6))
+        r = max_sunflower_free_vectors((3,) * 6, max_nodes=0)
         assert not r.optimal and r.stats["greedy_size"] == 0
         assert verify_family_points(inst, r.witness_points) == (True, None)
-        r = max_sunflower_free_vectors((2,) * 12, max_nodes=7)
-        assert not r.optimal and r.stats["greedy_size"] <= 7
+        r = max_sunflower_free_vectors((3,) * 6, max_nodes=7)
+        assert not r.optimal and r.stats["greedy_size"] == 7
         assert r.maximum >= r.stats["greedy_size"]
         assert verify_family_points(inst, r.witness_points) == (True, None)
 
@@ -684,11 +763,12 @@ class TestVerify:
     def test_all_of_z2_to_the_8_is_free(self):
         inst = VectorInstance(as_modulus_vector((2,) * 8))
         assert verify_family_points(inst, inst.points()) == (True, None)
-        # greedy's 256 includes and the one pruned root fit the budget exactly
-        r = max_sunflower_free_vectors((2,) * 8, max_nodes=256)
+        # the search over Z2^0's one point (one greedy include, one pruned
+        # root) fits a budget of 1 and lifts to all 256
+        r = max_sunflower_free_vectors((2,) * 8, max_nodes=1)
         assert r.maximum == 256 and r.optimal
         assert r.nodes_explored == 1 and r.stats["greedy_size"] == 256
-        assert not max_sunflower_free_vectors((2,) * 8, max_nodes=255).optimal
+        assert not max_sunflower_free_vectors((2,) * 8, max_nodes=0).optimal
 
     def test_independent_of_the_completion_kernel(self, monkeypatch):
         def refuse(self, i, j):
@@ -1178,7 +1258,7 @@ class TestPairMasks:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_property_narrow_equals_a_naive_and_over_every_chosen_point(self, data):
-        # Z2 coordinates split the kernel keys, so narrow skips chosen points
+        # narrow ANDs the slot of every chosen point, Z2 coordinates included
         if data.draw(st.booleans(), label="vectors"):
             moduli = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=3), label="moduli")
             inst = VectorInstance(as_modulus_vector(moduli))
@@ -1203,12 +1283,12 @@ class TestPairMasks:
             assert engine.narrow(cands, chosen, p) == expected
 
     @pytest.mark.parametrize(
-        "moduli,count", [((2,) * 6 + (3,), 64), ((2,) * 7, 0), ((3, 3, 3), 28)]
+        "moduli,count", [((2,) * 6 + (3,), 1), ((2,) * 7, 0), ((3, 3, 3), 28)]
     )
     def test_greedy_computes_completions_only_within_one_key(self, monkeypatch, moduli, count):
-        # Z2^6 x Z3: each key is a class of three points, a sunflower, so greedy
-        # keeps two of each and computes one completion per class; Z2^7: none.
-        # Z3^3 has one key: all C(8, 2) pairs of greedy's 8 points.
+        # greedy runs on the moduli above 2 and is lifted: Z2^6 x Z3 computes
+        # Z3's one completion, of its first two points; Z2^7 none.  Z3^3 has
+        # one key: all C(8, 2) pairs of greedy's 8 points.
         pairs = []
         real = CompletionKernel.completions
 
